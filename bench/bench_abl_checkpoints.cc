@@ -8,7 +8,7 @@
 
 #include "bench/bench_util.h"
 #include "ftl/gecko_ftl.h"
-#include "sim/ftl_experiment.h"
+#include "sim/load_driver.h"
 
 using namespace gecko;
 using namespace gecko::bench;
@@ -35,10 +35,12 @@ int main() {
     FtlConfig config = GeckoFtl::DefaultConfig(kCache);
     config.checkpoint_period = period;
     GeckoFtl ftl(&device, config);
-    FtlExperiment::Fill(ftl, sim.NumLogicalPages());
+    Fill(ftl, sim.NumLogicalPages());
     UniformWorkload workload(sim.NumLogicalPages(), 17);
-    WaBreakdown b =
-        FtlExperiment::MeasureWa(ftl, device, workload, kWarm, kMeasure);
+    RequestStream stream(&workload, {.batch_size = 1});
+    LoadDriver driver(&ftl, &device);
+    driver.Run({.until_extents = kWarm}, stream);
+    WaBreakdown b = driver.Run({.until_extents = kWarm + kMeasure}, stream).wa;
     RecoveryReport report = ftl.CrashAndRecover();
     uint64_t scan = 0;
     for (const RecoveryStep& s : report.steps) {

@@ -7,7 +7,7 @@
 
 #include "bench/bench_util.h"
 #include "ftl/gecko_ftl.h"
-#include "sim/ftl_experiment.h"
+#include "sim/load_driver.h"
 
 using namespace gecko;
 using namespace gecko::bench;
@@ -34,10 +34,12 @@ int main() {
     FtlConfig config = GeckoFtl::DefaultConfig(256);
     config.gc_policy = policy;
     GeckoFtl ftl(&device, config);
-    FtlExperiment::Fill(ftl, sim.NumLogicalPages());
+    Fill(ftl, sim.NumLogicalPages());
     UniformWorkload workload(sim.NumLogicalPages(), 13);
-    WaBreakdown b =
-        FtlExperiment::MeasureWa(ftl, device, workload, kWarm, kMeasure);
+    RequestStream stream(&workload, {.batch_size = 1});
+    LoadDriver driver(&ftl, &device);
+    driver.Run({.until_extents = kWarm}, stream);
+    WaBreakdown b = driver.Run({.until_extents = kWarm + kMeasure}, stream).wa;
     table.AddRow({policy == GcPolicy::kGreedyAll ? "greedy (all blocks)"
                                                  : "never-collect-metadata",
                   TablePrinter::Fmt(b.user_and_gc, 3),

@@ -17,7 +17,7 @@
 #include "flash/flash_device.h"
 #include "ftl/baseline_ftls.h"
 #include "ftl/gecko_ftl.h"
-#include "sim/ftl_experiment.h"
+#include "sim/load_driver.h"
 #include "util/table_printer.h"
 #include "workload/request_stream.h"
 #include "workload/trace.h"
@@ -58,7 +58,7 @@ RunResult RunOne(const Trace& trace, uint32_t batch_size, double trim_mix,
                  FtlCounters* counters_out = nullptr) {
   FlashDevice device(BenchGeometry());
   FtlT ftl(&device, FtlT::DefaultConfig(kCache));
-  FtlExperiment::Fill(ftl, kSpan, /*batch_size=*/8);
+  Fill(ftl, kSpan, /*batch_size=*/8);
   Status fs = ftl.Flush();
   GECKO_CHECK(fs.ok());
 
@@ -73,7 +73,7 @@ RunResult RunOne(const Trace& trace, uint32_t batch_size, double trim_mix,
       if (trim_mix > 0 && trim_rng.Bernoulli(trim_mix)) {
         trim.Add(lpn);
       } else {
-        write.Add(lpn, FtlExperiment::Token(lpn, i));
+        write.Add(lpn, RequestStream::PayloadToken(lpn, i));
       }
     }
     IoResult result;

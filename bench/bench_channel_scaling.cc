@@ -21,7 +21,7 @@
 #include "bench/bench_util.h"
 #include "ftl/baseline_ftls.h"
 #include "ftl/gecko_ftl.h"
-#include "sim/ftl_experiment.h"
+#include "sim/load_driver.h"
 #include "util/table_printer.h"
 #include "workload/trace.h"
 
@@ -68,7 +68,7 @@ RunResult RunOne(const std::string& name, const Trace& trace,
                  uint32_t num_channels) {
   FlashDevice device(BenchGeometry(num_channels));
   auto ftl = Make(name, &device, kCache);
-  FtlExperiment::Fill(*ftl, kSpan, /*batch_size=*/kBatch);
+  Fill(*ftl, kSpan, /*batch_size=*/kBatch);
   GECKO_CHECK(ftl->Flush().ok());
 
   double before = device.stats().elapsed_us();
@@ -76,7 +76,7 @@ RunResult RunOne(const std::string& name, const Trace& trace,
     IoRequest write(IoOp::kWrite);
     for (uint64_t i = base; i < base + kBatch && i < kOps; ++i) {
       Lpn lpn = trace.at(i);
-      write.Add(lpn, FtlExperiment::Token(lpn, i));
+      write.Add(lpn, RequestStream::PayloadToken(lpn, i));
     }
     IoResult result;
     Status s = ftl->Submit(write, &result);
@@ -86,7 +86,7 @@ RunResult RunOne(const std::string& name, const Trace& trace,
   RunResult r;
   r.elapsed_us = device.stats().elapsed_us() - before;
   r.kpages_per_sec = kOps / r.elapsed_us * 1e6 / 1000.0;
-  r.channels = FtlExperiment::Channels(device);
+  r.channels = Channels(device);
   return r;
 }
 

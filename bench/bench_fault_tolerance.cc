@@ -30,8 +30,7 @@
 #include "flash/fault_model.h"
 #include "ftl/baseline_ftls.h"
 #include "ftl/gecko_ftl.h"
-#include "sim/ftl_experiment.h"
-#include "sim/open_loop_driver.h"
+#include "sim/load_driver.h"
 #include "util/random.h"
 #include "util/table_printer.h"
 #include "workload/request_stream.h"
@@ -107,7 +106,7 @@ SweepRow RunSweepPoint(const std::string& name, double rate,
   faults.transient_read_fault_rate = rate;
   FlashDevice device(BenchGeometry(), LatencyModel(), faults);
   auto ftl = Make(name, &device, kQd);
-  FtlExperiment::Fill(*ftl, kSpan, /*batch_size=*/64);
+  Fill(*ftl, kSpan, /*batch_size=*/64);
   GECKO_CHECK(ftl->Flush().ok());
   device.stats().Reset();
 
@@ -118,18 +117,16 @@ SweepRow RunSweepPoint(const std::string& name, double rate,
   sopt.seed = 13;
   RequestStream stream(&zipf, sopt);
 
-  OpenLoopOptions oopt;
-  oopt.inter_arrival_us = kInterArrivalUs;
-  oopt.requests = requests;
-  OpenLoopDriver driver(ftl.get(), &device, oopt);
+  LoadDriver driver(ftl.get(), &device);
 
   SweepRow row;
   row.ftl = name;
   row.rate = rate;
-  OpenLoopReport report = driver.Run(stream);
+  LoadReport report = driver.Run(
+      {.inter_arrival_us = kInterArrivalUs, .requests = requests}, stream);
   GECKO_CHECK_EQ(report.completed, report.arrivals);
   row.kiops = report.achieved_kiops;
-  row.p99_us = report.p99_us;
+  row.p99_us = report.latency.P99();
   row.retries = device.stats().read_retries();
   row.transient_faults = device.stats().transient_read_faults();
   GECKO_CHECK_EQ(device.stats().hard_read_faults(), 0u);
@@ -168,7 +165,7 @@ IntegrityRow RunIntegrityChurn(const std::string& name, uint64_t ops) {
     uint32_t dice = rng.Uniform(1000);
     if (dice < 550) {
       Lpn lpn = rng.Uniform(span);
-      uint64_t token = FtlExperiment::Token(lpn, ++version);
+      uint64_t token = RequestStream::PayloadToken(lpn, ++version);
       Status s = ftl->Write(lpn, token);
       GECKO_CHECK(s.ok()) << s.ToString();
       shadow[lpn] = token;
@@ -227,7 +224,7 @@ DegradeRow RunDegradation(const std::string& name) {
   bool hit_wall = false;
   for (uint64_t i = 0; i < 50000; ++i) {
     Lpn lpn = rng.Uniform(span);
-    uint64_t token = FtlExperiment::Token(lpn, ++version);
+    uint64_t token = RequestStream::PayloadToken(lpn, ++version);
     Status s = ftl->Write(lpn, token);
     if (!s.ok()) {
       GECKO_CHECK_EQ(static_cast<int>(s.code()),

@@ -14,7 +14,7 @@
 #include "ftl/gecko_ftl.h"
 #include "model/ram_model.h"
 #include "model/recovery_model.h"
-#include "sim/ftl_experiment.h"
+#include "sim/load_driver.h"
 
 using namespace gecko;
 using namespace gecko::bench;
@@ -100,10 +100,12 @@ int main() {
         std::string("IB-FTL"), std::string("GeckoFTL")}) {
     FlashDevice device(sim);
     auto ftl = Make(name, &device, kCache);
-    FtlExperiment::Fill(*ftl, sim.NumLogicalPages());
+    Fill(*ftl, sim.NumLogicalPages());
     UniformWorkload workload(sim.NumLogicalPages(), 7);
-    WaBreakdown b =
-        FtlExperiment::MeasureWa(*ftl, device, workload, kWarm, kMeasure);
+    RequestStream stream(&workload, {.batch_size = 1});
+    LoadDriver driver(ftl.get(), &device);
+    driver.Run({.until_extents = kWarm}, stream);
+    WaBreakdown b = driver.Run({.until_extents = kWarm + kMeasure}, stream).wa;
     wa.AddRow({name, TablePrinter::Fmt(b.user_and_gc, 3),
                TablePrinter::Fmt(b.translation, 3),
                TablePrinter::Fmt(b.page_validity, 3),

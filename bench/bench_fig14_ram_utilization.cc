@@ -11,7 +11,7 @@
 #include "ftl/baseline_ftls.h"
 #include "ftl/gecko_ftl.h"
 #include "model/ram_model.h"
-#include "sim/ftl_experiment.h"
+#include "sim/load_driver.h"
 
 using namespace gecko;
 using namespace gecko::bench;
@@ -61,10 +61,12 @@ int main() {
       ftl = std::make_unique<GeckoFtl>(&device, GeckoFtl::DefaultConfig(cache));
       name = "GeckoFTL";
     }
-    FtlExperiment::Fill(*ftl, sim.NumLogicalPages());
+    Fill(*ftl, sim.NumLogicalPages());
     UniformWorkload workload(sim.NumLogicalPages(), 11);
-    WaBreakdown b =
-        FtlExperiment::MeasureWa(*ftl, device, workload, kWarm, kMeasure);
+    RequestStream stream(&workload, {.batch_size = 1});
+    LoadDriver driver(ftl.get(), &device);
+    driver.Run({.until_extents = kWarm}, stream);
+    WaBreakdown b = driver.Run({.until_extents = kWarm + kMeasure}, stream).wa;
     table.AddRow({name, TablePrinter::Fmt(uint64_t{cache}),
                   TablePrinter::Fmt(b.user_and_gc, 3),
                   TablePrinter::Fmt(b.translation, 3),

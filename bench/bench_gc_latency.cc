@@ -27,8 +27,7 @@
 
 #include "bench/bench_util.h"
 #include "ftl/gecko_ftl.h"
-#include "sim/ftl_experiment.h"
-#include "workload/bursty_stream.h"
+#include "sim/load_driver.h"
 #include "workload/workload.h"
 
 namespace gecko {
@@ -46,7 +45,7 @@ Geometry LatencyGeometry(uint32_t channels) {
 }
 
 struct ModeResult {
-  LatencyReport latency;
+  LoadReport report;  // the measurement window
   MaintenanceStats maintenance;
   double wa = 0;
   double maint_p95_us = 0;  // background-window makespans (kMaintenance)
@@ -75,24 +74,26 @@ ModeResult RunMode(uint32_t channels, bool incremental, uint64_t seed) {
     config.maintenance.idle_flush_period = 24;
   }
   GeckoFtl ftl(&device, config);
-  FtlExperiment::Fill(ftl, g.NumLogicalPages(), /*batch_size=*/8);
+  Fill(ftl, g.NumLogicalPages(), /*batch_size=*/8);
 
   // Skewed updates (the classic 20/80 hot set): the realistic shape of
   // heavy multi-user traffic, and the regime where greedy victims stay
   // dense regardless of when the collector runs.
   HotColdWorkload workload(g.NumLogicalPages(), 0.2, 0.8, seed);
-  BurstyRequestStream::Options options;
-  options.burst_requests = 16;
-  options.idle_slots = 24;
-  options.stream.batch_size = 4;
-  options.stream.seed = seed + 1;
-  BurstyRequestStream stream(&workload, options);
+  RequestStream stream(&workload, {.batch_size = 4, .seed = seed + 1});
+  // Bursts of 16 requests. The incremental configuration hands the 24
+  // idle slots between bursts to the maintenance scheduler; the
+  // foreground-only baseline wastes them, and an idle slot without a tick
+  // draws nothing and takes no device time, so it runs with none.
+  LoadOptions load{.until_extents = 6000,  // warm-up
+                   .idle_slots = incremental ? 24u : 0u};
+  LoadDriver driver(&ftl, &device);
 
   IoCounters before = device.stats().Snapshot();
+  driver.Run(load, stream);
+  load.until_extents = 6000 + 12000;
   ModeResult result;
-  result.latency = FtlExperiment::MeasureGcLatency(
-      ftl, device, stream, /*warm_extents=*/6000, /*measure_extents=*/12000,
-      /*tick_idle=*/incremental);
+  result.report = driver.Run(load, stream);
   IoCounters delta = device.stats().Snapshot() - before;
   result.wa = delta.WriteAmplification(device.stats().latency().Delta());
   result.maintenance = ftl.maintenance().stats();
@@ -122,10 +123,10 @@ void WriteJson(const char* path, const std::vector<ModeRow>& rows,
         "\"background_steps\": %llu, \"maint_p95_us\": %.1f, "
         "\"throttled_steps\": %llu, \"emergency_stalls\": %llu}%s\n",
         r.channels, r.incremental ? "incremental" : "foreground",
-        r.result.latency.p50_us, r.result.latency.p95_us,
-        r.result.latency.p99_us, r.result.latency.max_us,
-        r.result.latency.throughput_kops, r.result.wa,
-        static_cast<unsigned long long>(r.result.latency.background_steps),
+        r.result.report.latency.P50(), r.result.report.latency.P95(),
+        r.result.report.latency.P99(), r.result.report.latency.MaxUs(),
+        r.result.report.achieved_kiops, r.result.wa,
+        static_cast<unsigned long long>(r.result.report.background_steps),
         r.result.maint_p95_us,
         static_cast<unsigned long long>(r.result.maintenance.throttled_steps),
         static_cast<unsigned long long>(r.result.maintenance.emergency_stalls),
@@ -177,26 +178,25 @@ int Main(int argc, char** argv) {
     for (const auto* r : {&fg, &inc}) {
       table.AddRow({TablePrinter::Fmt(uint64_t{channels}),
                     r == &fg ? "foreground" : "incremental",
-                    TablePrinter::Fmt(r->latency.p50_us, 0),
-                    TablePrinter::Fmt(r->latency.p95_us, 0),
-                    TablePrinter::Fmt(r->latency.p99_us, 0),
-                    TablePrinter::Fmt(r->latency.max_us, 0),
-                    TablePrinter::Fmt(r->latency.throughput_kops, 2),
+                    TablePrinter::Fmt(r->report.latency.P50(), 0),
+                    TablePrinter::Fmt(r->report.latency.P95(), 0),
+                    TablePrinter::Fmt(r->report.latency.P99(), 0),
+                    TablePrinter::Fmt(r->report.latency.MaxUs(), 0),
+                    TablePrinter::Fmt(r->report.achieved_kiops, 2),
                     TablePrinter::Fmt(r->wa, 2),
-                    TablePrinter::Fmt(r->latency.background_steps),
+                    TablePrinter::Fmt(r->report.background_steps),
                     TablePrinter::Fmt(r->maint_p95_us, 0),
                     TablePrinter::Fmt(r->maintenance.throttled_steps),
                     TablePrinter::Fmt(r->maintenance.emergency_stalls)});
     }
     if (channels == 8) {
-      p99_ratio_at_8 = inc.latency.p99_us > 0
-                           ? fg.latency.p99_us / inc.latency.p99_us
-                           : 0;
+      const double fg_p99 = fg.report.latency.P99();
+      const double inc_p99 = inc.report.latency.P99();
+      p99_ratio_at_8 = inc_p99 > 0 ? fg_p99 / inc_p99 : 0;
+      const double fg_kiops = fg.report.achieved_kiops;
       throughput_delta_at_8 =
-          fg.latency.throughput_kops > 0
-              ? (inc.latency.throughput_kops - fg.latency.throughput_kops) /
-                    fg.latency.throughput_kops
-              : 0;
+          fg_kiops > 0 ? (inc.report.achieved_kiops - fg_kiops) / fg_kiops
+                       : 0;
     }
   }
   table.Print();

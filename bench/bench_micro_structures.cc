@@ -13,7 +13,7 @@
 #include "pvm/flash_pvb.h"
 #include "pvm/gecko_store.h"
 #include "pvm/ram_pvb.h"
-#include "sim/ftl_experiment.h"
+#include "sim/load_driver.h"
 #include "workload/workload.h"
 
 namespace gecko {
@@ -135,7 +135,7 @@ void BM_GeckoFtlWrite(benchmark::State& state) {
   g.logical_ratio = 0.7;
   FlashDevice device(g);
   GeckoFtl ftl(&device, GeckoFtl::DefaultConfig(512));
-  FtlExperiment::Fill(ftl, g.NumLogicalPages());
+  Fill(ftl, g.NumLogicalPages());
   UniformWorkload workload(g.NumLogicalPages(), 5);
   uint64_t i = 0;
   for (auto _ : state) {

@@ -25,8 +25,7 @@
 #include "ftl/base_ftl.h"
 #include "ftl/baseline_ftls.h"
 #include "ftl/gecko_ftl.h"
-#include "sim/ftl_experiment.h"
-#include "sim/open_loop_driver.h"
+#include "sim/load_driver.h"
 #include "util/table_printer.h"
 #include "workload/request_stream.h"
 #include "workload/workload.h"
@@ -74,7 +73,7 @@ struct MissRow {
   std::string ftl;
   std::string mode;  // "sync-miss" or "async-miss"
   uint32_t qd = 0;
-  OpenLoopReport report;
+  LoadReport report;
   uint64_t fetches = 0;        // translation fetches issued by the pipeline
   uint64_t coalesced = 0;      // extents that joined an in-flight fetch
   uint32_t fetch_watermark = 0;
@@ -87,7 +86,7 @@ MissRow RunOne(const std::string& name, uint32_t qd, bool async_miss,
                uint64_t requests) {
   FlashDevice device(BenchGeometry());
   auto ftl = Make(name, &device, qd, async_miss);
-  FtlExperiment::Fill(*ftl, kSpan, /*batch_size=*/64);
+  Fill(*ftl, kSpan, /*batch_size=*/64);
   GECKO_CHECK(ftl->Flush().ok());
   device.stats().Reset();  // measure only the open-loop phase
 
@@ -98,16 +97,14 @@ MissRow RunOne(const std::string& name, uint32_t qd, bool async_miss,
   sopt.seed = 7;
   RequestStream stream(&uniform, sopt);
 
-  OpenLoopOptions oopt;
-  oopt.inter_arrival_us = kInterArrivalUs;
-  oopt.requests = requests;
-  OpenLoopDriver driver(ftl.get(), &device, oopt);
+  LoadDriver driver(ftl.get(), &device);
 
   MissRow row;
   row.ftl = name;
   row.mode = async_miss ? "async-miss" : "sync-miss";
   row.qd = qd;
-  row.report = driver.Run(stream);
+  row.report = driver.Run(
+      {.inter_arrival_us = kInterArrivalUs, .requests = requests}, stream);
   GECKO_CHECK_EQ(row.report.completed, row.report.arrivals);
   GECKO_CHECK_EQ(ftl->InFlightRequests(), 0u);
 
@@ -153,7 +150,8 @@ void WriteJson(const char* path, uint64_t requests,
         "\"fetch_inflight_watermark\": %u, "
         "\"stall_p50_us\": %.1f, \"stall_p99_us\": %.1f}%s\n",
         r.ftl.c_str(), r.mode.c_str(), r.qd, r.report.achieved_kiops,
-        r.speedup, r.report.p50_us, r.report.p99_us, r.report.p999_us,
+        r.speedup, r.report.latency.P50(), r.report.latency.P99(),
+        r.report.latency.Percentile(0.999),
         static_cast<unsigned long long>(r.fetches),
         static_cast<unsigned long long>(r.coalesced), r.fetch_watermark,
         r.stall_p50, r.stall_p99, i + 1 < rows.size() ? "," : "");
@@ -219,9 +217,9 @@ int main(int argc, char** argv) {
       table.AddRow({r->ftl, r->mode, TablePrinter::Fmt(static_cast<int>(r->qd)),
                     TablePrinter::Fmt(r->report.achieved_kiops, 2),
                     TablePrinter::Fmt(r->speedup, 2),
-                    TablePrinter::Fmt(r->report.p50_us, 0),
-                    TablePrinter::Fmt(r->report.p99_us, 0),
-                    TablePrinter::Fmt(r->report.p999_us, 0),
+                    TablePrinter::Fmt(r->report.latency.P50(), 0),
+                    TablePrinter::Fmt(r->report.latency.P99(), 0),
+                    TablePrinter::Fmt(r->report.latency.Percentile(0.999), 0),
                     TablePrinter::Fmt(r->fetches),
                     TablePrinter::Fmt(r->coalesced),
                     TablePrinter::Fmt(static_cast<int>(r->fetch_watermark)),

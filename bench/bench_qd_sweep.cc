@@ -23,8 +23,7 @@
 #include "bench/bench_util.h"
 #include "ftl/baseline_ftls.h"
 #include "ftl/gecko_ftl.h"
-#include "sim/ftl_experiment.h"
-#include "sim/open_loop_driver.h"
+#include "sim/load_driver.h"
 #include "util/table_printer.h"
 #include "workload/request_stream.h"
 #include "workload/workload.h"
@@ -66,11 +65,20 @@ std::unique_ptr<Ftl> Make(const std::string& name, FlashDevice* device,
   return MakeWithQd<IbFtl>(device, cache, qd);
 }
 
-OpenLoopReport RunOne(const std::string& name, uint32_t qd, uint64_t requests,
-                      double read_fraction) {
+struct SweepRow {
+  std::string ftl;
+  uint32_t qd = 0;
+  double read_fraction = 0;
+  LoadReport report;
+  uint32_t inflight_watermark = 0;  // host in-flight depth high-watermark
+  double speedup = 1.0;  // achieved_kiops vs the same FTL's QD=1 run
+};
+
+SweepRow RunOne(const std::string& name, uint32_t qd, uint64_t requests,
+                double read_fraction) {
   FlashDevice device(BenchGeometry());
   auto ftl = Make(name, &device, kCache, qd);
-  FtlExperiment::Fill(*ftl, kSpan, /*batch_size=*/64);
+  Fill(*ftl, kSpan, /*batch_size=*/64);
   GECKO_CHECK(ftl->Flush().ok());
   device.stats().Reset();  // measure only the open-loop phase
 
@@ -81,23 +89,18 @@ OpenLoopReport RunOne(const std::string& name, uint32_t qd, uint64_t requests,
   sopt.seed = 7;
   RequestStream stream(&uniform, sopt);
 
-  OpenLoopOptions oopt;
-  oopt.inter_arrival_us = kInterArrivalUs;
-  oopt.requests = requests;
-  OpenLoopDriver driver(ftl.get(), &device, oopt);
-  OpenLoopReport r = driver.Run(stream);
-  GECKO_CHECK_EQ(r.completed, r.arrivals);
+  LoadDriver driver(ftl.get(), &device);
+  SweepRow row;
+  row.ftl = name;
+  row.qd = qd;
+  row.read_fraction = read_fraction;
+  row.report = driver.Run(
+      {.inter_arrival_us = kInterArrivalUs, .requests = requests}, stream);
+  GECKO_CHECK_EQ(row.report.completed, row.report.arrivals);
   GECKO_CHECK_EQ(ftl->InFlightRequests(), 0u);
-  return r;
+  row.inflight_watermark = device.stats().host_inflight_watermark();
+  return row;
 }
-
-struct SweepRow {
-  std::string ftl;
-  uint32_t qd = 0;
-  double read_fraction = 0;
-  OpenLoopReport report;
-  double speedup = 1.0;  // achieved_kiops vs the same FTL's QD=1 run
-};
 
 void WriteJson(const char* path, uint64_t requests,
                const std::vector<SweepRow>& rows,
@@ -118,8 +121,8 @@ void WriteJson(const char* path, uint64_t requests,
         "\"p50_us\": %.1f, \"p99_us\": %.1f, \"p999_us\": %.1f, "
         "\"inflight_watermark\": %u, \"deferrals\": %llu}%s\n",
         r.ftl.c_str(), r.qd, r.read_fraction, r.report.achieved_kiops,
-        r.speedup, r.report.p50_us, r.report.p99_us, r.report.p999_us,
-        r.report.inflight_watermark,
+        r.speedup, r.report.latency.P50(), r.report.latency.P99(),
+        r.report.latency.Percentile(0.999), r.inflight_watermark,
         static_cast<unsigned long long>(r.report.deferrals),
         i + 1 < rows.size() ? "," : "");
   }
@@ -175,10 +178,7 @@ int main(int argc, char** argv) {
     double base_kiops = 0;
     double speedup16 = 0;
     for (uint32_t qd : kQds) {
-      SweepRow row;
-      row.ftl = name;
-      row.qd = qd;
-      row.report = RunOne(name, qd, kRequests, /*read_fraction=*/0.0);
+      SweepRow row = RunOne(name, qd, kRequests, /*read_fraction=*/0.0);
       if (qd == 1) base_kiops = row.report.achieved_kiops;
       row.speedup = base_kiops > 0 ? row.report.achieved_kiops / base_kiops : 0;
       if (qd == 16) speedup16 = row.speedup;
@@ -186,10 +186,10 @@ int main(int argc, char** argv) {
           {name, TablePrinter::Fmt(static_cast<int>(qd)),
            TablePrinter::Fmt(row.report.achieved_kiops, 2),
            TablePrinter::Fmt(row.speedup, 2),
-           TablePrinter::Fmt(row.report.p50_us, 0),
-           TablePrinter::Fmt(row.report.p99_us, 0),
-           TablePrinter::Fmt(row.report.p999_us, 0),
-           TablePrinter::Fmt(static_cast<int>(row.report.inflight_watermark)),
+           TablePrinter::Fmt(row.report.latency.P50(), 0),
+           TablePrinter::Fmt(row.report.latency.P99(), 0),
+           TablePrinter::Fmt(row.report.latency.Percentile(0.999), 0),
+           TablePrinter::Fmt(static_cast<int>(row.inflight_watermark)),
            TablePrinter::Fmt(row.report.deferrals)});
       rows.push_back(std::move(row));
     }
@@ -205,17 +205,12 @@ int main(int argc, char** argv) {
   TablePrinter mixed({"FTL", "kiops", "p50 us", "p99 us", "p999 us",
                       "infl wm"});
   for (const char* name : kFtls) {
-    SweepRow row;
-    row.ftl = name;
-    row.qd = 16;
-    row.read_fraction = 0.3;
-    row.report = RunOne(name, 16, kRequests, row.read_fraction);
+    SweepRow row = RunOne(name, 16, kRequests, /*read_fraction=*/0.3);
     mixed.AddRow({name, TablePrinter::Fmt(row.report.achieved_kiops, 2),
-                  TablePrinter::Fmt(row.report.p50_us, 0),
-                  TablePrinter::Fmt(row.report.p99_us, 0),
-                  TablePrinter::Fmt(row.report.p999_us, 0),
-                  TablePrinter::Fmt(
-                      static_cast<int>(row.report.inflight_watermark))});
+                  TablePrinter::Fmt(row.report.latency.P50(), 0),
+                  TablePrinter::Fmt(row.report.latency.P99(), 0),
+                  TablePrinter::Fmt(row.report.latency.Percentile(0.999), 0),
+                  TablePrinter::Fmt(static_cast<int>(row.inflight_watermark))});
     rows.push_back(std::move(row));
   }
   mixed.Print();

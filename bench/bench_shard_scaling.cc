@@ -28,8 +28,7 @@
 #include "ftl/baseline_ftls.h"
 #include "ftl/gecko_ftl.h"
 #include "ftl/sharded_ftl.h"
-#include "sim/ftl_experiment.h"
-#include "sim/parallel_driver.h"
+#include "sim/load_driver.h"
 #include "util/table_printer.h"
 #include "workload/request_stream.h"
 #include "workload/workload.h"
@@ -89,8 +88,8 @@ FtlFactory FactoryFor(const std::string& name) {
   };
 }
 
-ParallelDriverReport RunOne(const std::string& name, uint32_t threads,
-                            uint64_t total_requests, bool lock_free) {
+LoadReport RunOne(const std::string& name, uint32_t threads,
+                  uint64_t total_requests, bool lock_free) {
   ShardedFtlOptions options;
   options.geometry = BenchGeometry();
   options.num_shards = kShards;
@@ -99,22 +98,23 @@ ParallelDriverReport RunOne(const std::string& name, uint32_t threads,
   ShardedFtl sharded(options, FactoryFor(name));
 
   const uint64_t capacity = sharded.shard_map().TotalLpns();
-  FtlExperiment::Fill(sharded, capacity, /*batch_size=*/64);
+  Fill(sharded, capacity, /*batch_size=*/64);
   GECKO_CHECK(sharded.Flush().ok());
 
-  ParallelDriverOptions dopt;
-  dopt.threads = threads;
-  dopt.requests_per_thread = total_requests / threads;
-  dopt.inter_arrival_us = kInterArrivalUs;
-  dopt.max_outstanding_per_thread = 16;
-  ParallelDriver driver(&sharded, dopt);
+  LoadOptions load;
+  load.threads = threads;
+  load.requests = total_requests / threads;
+  load.inter_arrival_us = kInterArrivalUs;
+  LoadDriver driver(&sharded);
 
   RequestStream::Options sopt;
   sopt.batch_size = kBatch;
   sopt.read_fraction = kReadFraction;
   sopt.seed = 7;
-  ParallelDriverReport r =
-      driver.Run(sopt, [capacity](uint32_t thread) {
+  // Only forked: each thread draws from its own workload.
+  RequestStream prototype(nullptr, sopt);
+  LoadReport r =
+      driver.Run(load, prototype, [capacity](uint32_t thread) {
         return std::make_unique<UniformWorkload>(capacity, 100 + thread);
       });
   GECKO_CHECK_EQ(r.completed + r.aborted, r.arrivals);
@@ -127,7 +127,7 @@ struct SweepRow {
   std::string ftl;
   uint32_t threads = 0;
   bool lock_free = true;
-  ParallelDriverReport report;
+  LoadReport report;
   double speedup = 1.0;  // achieved_kiops vs the same FTL's T=1 run
 };
 
@@ -153,8 +153,8 @@ void WriteJson(const char* path, uint64_t total_requests,
         "\"queue_full_retries\": %llu}%s\n",
         r.ftl.c_str(), r.threads, r.lock_free ? "lockfree" : "mutex",
         r.report.offered_kiops, r.report.achieved_kiops, r.speedup,
-        r.report.p50_us, r.report.p99_us,
-        static_cast<unsigned long long>(r.report.queue_full_retries),
+        r.report.latency.P50(), r.report.latency.P99(),
+        static_cast<unsigned long long>(r.report.deferrals),
         i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"gates\": [\n");
@@ -223,9 +223,9 @@ int main(int argc, char** argv) {
            TablePrinter::Fmt(row.report.offered_kiops, 3),
            TablePrinter::Fmt(row.report.achieved_kiops, 3),
            TablePrinter::Fmt(row.speedup, 2),
-           TablePrinter::Fmt(row.report.p50_us, 0),
-           TablePrinter::Fmt(row.report.p99_us, 0),
-           TablePrinter::Fmt(row.report.queue_full_retries)});
+           TablePrinter::Fmt(row.report.latency.P50(), 0),
+           TablePrinter::Fmt(row.report.latency.P99(), 0),
+           TablePrinter::Fmt(row.report.deferrals)});
       rows.push_back(std::move(row));
     }
     gates.emplace_back(name, speedup8);

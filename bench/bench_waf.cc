@@ -28,7 +28,7 @@
 #include "bench/bench_util.h"
 #include "ftl/baseline_ftls.h"
 #include "ftl/gecko_ftl.h"
-#include "sim/ftl_experiment.h"
+#include "sim/load_driver.h"
 #include "util/table_printer.h"
 #include "workload/request_stream.h"
 #include "workload/workload.h"
@@ -86,7 +86,7 @@ WafRow RunOne(const std::string& name, uint32_t temp_classes, bool tiny) {
   FlashDevice device(BenchGeometry(tiny));
   auto ftl = Make(name, &device, temp_classes);
   const uint64_t num_lpns = device.geometry().NumLogicalPages();
-  FtlExperiment::Fill(*ftl, num_lpns, /*batch_size=*/32);
+  Fill(*ftl, num_lpns, /*batch_size=*/32);
   GECKO_CHECK(ftl->Flush().ok());
 
   HotColdWorkload workload(num_lpns, kHotFraction, kHotAccessFraction, 29);
@@ -96,16 +96,18 @@ WafRow RunOne(const std::string& name, uint32_t temp_classes, bool tiny) {
   sopt.seed = 31;
   const uint64_t warm = tiny ? 4000 : 40000;
   const uint64_t measure = tiny ? 8000 : 80000;
-  // Warm to steady state in one call, then measure WA and the GC counter
-  // deltas over the same window in a second call (the stream keeps its
-  // position: each call emits the requested number of fresh extents).
-  FtlExperiment::MeasureWaBatched(*ftl, device, workload, 0, warm, sopt);
+  // Warm to steady state with one stream, then measure WA and the GC
+  // counter deltas with a second, identically seeded stream that picks up
+  // the workload where the first left it.
+  LoadDriver driver(ftl.get(), &device);
+  RequestStream warm_stream(&workload, sopt);
+  driver.Run({.until_extents = warm}, warm_stream);
   const FtlCounters& live = ftl->counters();
   const uint64_t migrations_before = live.gc_migrations;
   const uint64_t demotions_before = live.gc_demotions;
   const uint64_t collections_before = live.gc_collections;
-  WaBreakdown wa = FtlExperiment::MeasureWaBatched(*ftl, device, workload, 0,
-                                                   measure, sopt);
+  RequestStream measure_stream(&workload, sopt);
+  WaBreakdown wa = driver.Run({.until_extents = measure}, measure_stream).wa;
 
   WafRow row;
   row.ftl = name;

@@ -11,7 +11,7 @@
 #include "flash/flash_device.h"
 #include "ftl/baseline_ftls.h"
 #include "ftl/gecko_ftl.h"
-#include "sim/ftl_experiment.h"
+#include "sim/load_driver.h"
 #include "util/table_printer.h"
 #include "workload/workload.h"
 
@@ -56,11 +56,13 @@ int main() {
           std::string("IB-FTL"), std::string("GeckoFTL")}) {
       FlashDevice device(geometry);
       auto ftl = Make(name, &device);
-      FtlExperiment::Fill(*ftl, geometry.NumLogicalPages());
+      Fill(*ftl, geometry.NumLogicalPages());
       auto workload = MakeWorkload(wk, geometry.NumLogicalPages());
-      WaBreakdown b = FtlExperiment::MeasureWa(*ftl, device, *workload,
-                                               /*warm_ops=*/15000,
-                                               /*measure_ops=*/15000);
+      // Single-page updates: 15k to warm up, then 15k measured.
+      RequestStream stream(workload.get(), {.batch_size = 1});
+      LoadDriver driver(ftl.get(), &device);
+      driver.Run({.until_extents = 15000}, stream);
+      WaBreakdown b = driver.Run({.until_extents = 30000}, stream).wa;
       table.AddRow({wk, name, TablePrinter::Fmt(b.user_and_gc, 3),
                     TablePrinter::Fmt(b.translation, 3),
                     TablePrinter::Fmt(b.page_validity, 3),
@@ -84,18 +86,15 @@ int main() {
     for (bool batch : {false, true}) {
       FlashDevice device(geometry);
       auto ftl = Make(name, &device);
-      FtlExperiment::Fill(*ftl, geometry.NumLogicalPages(), 32);
+      Fill(*ftl, geometry.NumLogicalPages(), 32);
       UniformWorkload workload(geometry.NumLogicalPages(), 5);
-      WaBreakdown b;
-      if (batch) {
-        RequestStream::Options options;
-        options.batch_size = 32;
-        options.trim_fraction = 0.05;
-        b = FtlExperiment::MeasureWaBatched(*ftl, device, workload, 15000,
-                                            15000, options);
-      } else {
-        b = FtlExperiment::MeasureWa(*ftl, device, workload, 15000, 15000);
-      }
+      RequestStream::Options options;
+      options.batch_size = batch ? 32 : 1;
+      options.trim_fraction = batch ? 0.05 : 0.0;
+      RequestStream stream(&workload, options);
+      LoadDriver driver(ftl.get(), &device);
+      driver.Run({.until_extents = 15000}, stream);
+      WaBreakdown b = driver.Run({.until_extents = 30000}, stream).wa;
       batched.AddRow({name, batch ? "batch=32 +5% trim" : "single-page",
                       TablePrinter::Fmt(b.user_and_gc, 3),
                       TablePrinter::Fmt(b.translation, 3),

@@ -14,7 +14,7 @@
 #include "flash/flash_device.h"
 #include "ftl/baseline_ftls.h"
 #include "ftl/gecko_ftl.h"
-#include "sim/ftl_experiment.h"
+#include "sim/load_driver.h"
 #include "util/table_printer.h"
 #include "workload/workload.h"
 
@@ -55,7 +55,7 @@ int main() {
     // Same workload for everyone: batched fill, 10k uniform updates
     // submitted as 32-page scatter-gather requests, and a discarded range
     // whose trim must survive the crash.
-    FtlExperiment::Fill(*ftl, geometry.NumLogicalPages(), /*batch_size=*/32);
+    Fill(*ftl, geometry.NumLogicalPages(), /*batch_size=*/32);
     UniformWorkload workload(geometry.NumLogicalPages(), 3);
     for (int i = 0; i < 10000; i += 32) {
       IoRequest update(IoOp::kWrite);

@@ -100,8 +100,8 @@ class FlashDevice {
     return channels_.busy_until_us(c);
   }
 
-  /// Total simulated time channel `c` has sat idle between ops (reported
-  /// through FtlExperiment::Channels as background-GC headroom).
+  /// Total simulated time channel `c` has sat idle between ops
+  /// (background-GC headroom).
   double ChannelIdleUs(ChannelId c) const {
     return channels_.channel(c).idle_us();
   }

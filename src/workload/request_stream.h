@@ -52,7 +52,7 @@ class RequestStream {
     /// never share an RNG stream), and Fork(child) needs no caller-wired
     /// Workload* — each child constructs its own private generator.
     /// Default (num_lpns == 0): the external-Workload* constructor.
-    WorkloadSpec workload;
+    WorkloadSpec workload = {};
   };
 
   /// Derives child `i`'s seed from a parent seed (splitmix64 finalizer —

@@ -75,7 +75,7 @@ TEST(ChannelStripingTest, BatchedSubmitSpreadsPagesAcrossChannels) {
 
   IoRequest batch(IoOp::kWrite);
   for (Lpn lpn = 0; lpn < 64; ++lpn) {
-    batch.Add(lpn, FtlExperiment::Token(lpn, 0));
+    batch.Add(lpn, RequestStream::PayloadToken(lpn, 0));
   }
   IoResult result;
   ASSERT_TRUE(ftl->Submit(batch, &result).ok());
@@ -98,13 +98,13 @@ TEST(ChannelStripingTest, EightChannelsBeatOneByAtLeastThreeX) {
     for (uint32_t channels : {1u, 8u}) {
       FlashDevice device(FtlTestGeometry(channels));
       auto ftl = MakeFtl(name, &device, /*cache_capacity=*/32);
-      FtlExperiment::Fill(*ftl, 512, /*batch_size=*/64);
+      Fill(*ftl, 512, /*batch_size=*/64);
       double before = device.stats().elapsed_us();
       for (int round = 0; round < 8; ++round) {
         IoRequest batch(IoOp::kWrite);
         for (Lpn i = 0; i < 64; ++i) {
           Lpn lpn = static_cast<Lpn>((round * 64 + i) % 512);
-          batch.Add(lpn, FtlExperiment::Token(lpn, 1 + round));
+          batch.Add(lpn, RequestStream::PayloadToken(lpn, 1 + round));
         }
         IoResult result;
         ASSERT_TRUE(ftl->Submit(batch, &result).ok());
@@ -145,7 +145,7 @@ TEST(ChannelStripingTest, DeepDirtySetSurvivesCrashOnStripedLayout) {
         uint64_t count = n / 2 + rng.Uniform(n / 4);
         for (uint64_t i = 0; i < count; ++i) {
           Lpn lpn = static_cast<Lpn>(rng.Uniform(n));
-          uint64_t token = FtlExperiment::Token(lpn, ++version);
+          uint64_t token = RequestStream::PayloadToken(lpn, ++version);
           batch.Add(lpn, token);
           tokens[lpn] = token;
         }
@@ -168,7 +168,7 @@ TEST(ChannelStripingTest, DeepDirtySetSurvivesCrashOnStripedLayout) {
         // Interleave single-page writes (mixed single/batched traffic).
         for (int i = 0; i < 50; ++i) {
           Lpn lpn = static_cast<Lpn>(rng.Uniform(n));
-          uint64_t token = FtlExperiment::Token(lpn, ++version);
+          uint64_t token = RequestStream::PayloadToken(lpn, ++version);
           ASSERT_TRUE(ftl->Write(lpn, token).ok()) << name;
           shadow[lpn] = token;
         }
@@ -199,8 +199,8 @@ TEST(ChannelStripingTest, DeepDirtySetSurvivesCrashOnStripedLayout) {
 TEST(ChannelStripingTest, MultiChannelUtilizationIsBalanced) {
   FlashDevice device(FtlTestGeometry(/*num_channels=*/4));
   auto ftl = MakeFtl("GeckoFTL", &device, /*cache_capacity=*/64);
-  FtlExperiment::Fill(*ftl, 512, /*batch_size=*/64);
-  ChannelReport report = FtlExperiment::Channels(device);
+  Fill(*ftl, 512, /*batch_size=*/64);
+  ChannelReport report = Channels(device);
   ASSERT_EQ(report.utilization.size(), 4u);
   // Round-robin striping keeps every channel busy a comparable share of
   // the time: no channel below half the mean.

@@ -11,7 +11,7 @@
 #include "flash/flash_device.h"
 #include "ftl/baseline_ftls.h"
 #include "ftl/gecko_ftl.h"
-#include "sim/ftl_experiment.h"
+#include "sim/load_driver.h"
 #include "tests/ftl/ftl_test_util.h"
 #include "workload/trace.h"
 
@@ -53,7 +53,7 @@ RunCost RunTrace(const Trace& trace, bool batched, uint64_t* data_check) {
   FtlT ftl(&device, FtlT::DefaultConfig(kCache));
 
   for (Lpn lpn = 0; lpn < kSpan; ++lpn) {
-    Status s = ftl.Write(lpn, FtlExperiment::Token(lpn, 0));
+    Status s = ftl.Write(lpn, RequestStream::PayloadToken(lpn, 0));
     GECKO_CHECK(s.ok()) << s.ToString();
   }
   EXPECT_TRUE(ftl.Flush().ok());
@@ -66,7 +66,7 @@ RunCost RunTrace(const Trace& trace, bool batched, uint64_t* data_check) {
       IoRequest request(IoOp::kWrite);
       for (uint32_t i = 0; i < kBatch; ++i) {
         Lpn lpn = trace.at(b * kBatch + i);
-        uint64_t token = FtlExperiment::Token(lpn, ++version);
+        uint64_t token = RequestStream::PayloadToken(lpn, ++version);
         request.Add(lpn, token);
         shadow[lpn] = token;
       }
@@ -76,7 +76,7 @@ RunCost RunTrace(const Trace& trace, bool batched, uint64_t* data_check) {
     } else {
       for (uint32_t i = 0; i < kBatch; ++i) {
         Lpn lpn = trace.at(b * kBatch + i);
-        uint64_t token = FtlExperiment::Token(lpn, ++version);
+        uint64_t token = RequestStream::PayloadToken(lpn, ++version);
         EXPECT_TRUE(ftl.Write(lpn, token).ok());
         shadow[lpn] = token;
       }
@@ -147,7 +147,7 @@ TEST(BatchEfficiencyTest, BatchCountersTrackEfficacy) {
   FlashDevice device(BatchGeometry());
   GeckoFtl ftl(&device, GeckoFtl::DefaultConfig(kCache));
 
-  FtlExperiment::Fill(ftl, kSpan, /*batch_size=*/kBatch);
+  Fill(ftl, kSpan, /*batch_size=*/kBatch);
   EXPECT_EQ(ftl.counters().batches, kSpan / kBatch);
   EXPECT_EQ(ftl.counters().batched_pages, uint64_t{kSpan});
   EXPECT_EQ(ftl.counters().writes, uint64_t{kSpan});

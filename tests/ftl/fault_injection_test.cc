@@ -16,7 +16,7 @@
 #include "flash/flash_device.h"
 #include "ftl/base_ftl.h"
 #include "ftl/ftl.h"
-#include "sim/ftl_experiment.h"
+#include "sim/load_driver.h"
 #include "tests/ftl/ftl_test_util.h"
 #include "workload/workload.h"
 
@@ -224,7 +224,7 @@ TEST_P(FaultInjectionTest, SpareExhaustionEntersReadOnlyDegradedMode) {
   bool hit_wall = false;
   for (int i = 0; i < 20000; ++i) {
     Lpn lpn = rng.Uniform(span);
-    uint64_t token = FtlExperiment::Token(lpn, ++version);
+    uint64_t token = RequestStream::PayloadToken(lpn, ++version);
     Status s = ftl->Write(lpn, token);
     if (s.ok()) {
       shadow[lpn] = token;
@@ -260,7 +260,7 @@ TEST_P(FaultInjectionTest, SpareExhaustionEntersReadOnlyDegradedMode) {
   bool degraded_again = false;
   for (int i = 0; i < 50 && !degraded_again; ++i) {
     Lpn lpn = rng.Uniform(span);
-    uint64_t token = FtlExperiment::Token(lpn, ++version);
+    uint64_t token = RequestStream::PayloadToken(lpn, ++version);
     Status s = ftl->Write(lpn, token);
     if (s.ok()) {
       shadow[lpn] = token;
@@ -303,7 +303,7 @@ TEST_P(FaultInjectionTest, MixedFaultChurnNeverReturnsWrongData) {
     uint32_t dice = rng.Uniform(1000);
     if (dice < 600) {
       Lpn lpn = rng.Uniform(span);
-      uint64_t token = FtlExperiment::Token(lpn, ++version);
+      uint64_t token = RequestStream::PayloadToken(lpn, ++version);
       Status s = ftl->Write(lpn, token);
       ASSERT_TRUE(s.ok()) << s.ToString();
       shadow[lpn] = token;

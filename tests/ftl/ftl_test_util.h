@@ -17,7 +17,7 @@
 #include "flash/flash_device.h"
 #include "ftl/baseline_ftls.h"
 #include "ftl/gecko_ftl.h"
-#include "sim/ftl_experiment.h"
+#include "sim/load_driver.h"
 
 namespace gecko {
 
@@ -133,7 +133,7 @@ class ShadowHarness {
   ShadowHarness(Ftl* ftl, uint64_t num_lpns) : ftl_(ftl), num_lpns_(num_lpns) {}
 
   void Write(Lpn lpn) {
-    uint64_t token = FtlExperiment::Token(lpn, ++version_);
+    uint64_t token = RequestStream::PayloadToken(lpn, ++version_);
     Status s = ftl_->Write(lpn, token);
     ASSERT_TRUE(s.ok()) << s.ToString();
     shadow_[lpn] = token;
@@ -144,7 +144,7 @@ class ShadowHarness {
     IoRequest request(IoOp::kWrite);
     std::unordered_map<Lpn, uint64_t> tokens;
     for (Lpn lpn : lpns) {
-      uint64_t token = FtlExperiment::Token(lpn, ++version_);
+      uint64_t token = RequestStream::PayloadToken(lpn, ++version_);
       request.Add(lpn, token);
       tokens[lpn] = token;  // duplicates: last writer wins, as in the FTL
     }

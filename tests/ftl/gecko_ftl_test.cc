@@ -24,7 +24,7 @@ TEST(GeckoFtlTest, WriteMissDoesNotReadTranslationPage) {
   // a write miss costs no translation-page read (Section 4.1).
   FlashDevice device(FtlTestGeometry());
   auto ftl = MakeGecko(&device);
-  FtlExperiment::Fill(*ftl, 200);
+  Fill(*ftl, 200);
   uint64_t treads_before =
       device.stats().counters().ReadsFor(IoPurpose::kTranslation);
   // Writes to lpns far from each other: all cache misses after eviction.
@@ -83,7 +83,7 @@ TEST(GeckoFtlTest, CheckpointsFireEveryPeriod) {
   FtlConfig config = GeckoFtl::DefaultConfig(64);
   config.checkpoint_period = 64;
   auto ftl = std::make_unique<GeckoFtl>(&device, config);
-  FtlExperiment::Fill(*ftl, 400);
+  Fill(*ftl, 400);
   EXPECT_GE(ftl->counters().checkpoints, 400u / 64 - 1);
 }
 

@@ -17,7 +17,7 @@ TEST(PolicyTest, DirtyCapBoundsDirtyEntries) {
   FlashDevice device(FtlTestGeometry());
   FtlConfig config = LazyFtl::DefaultConfig(128);  // cap = 10% of C
   LazyFtl ftl(&device, config);
-  FtlExperiment::Fill(ftl, device.geometry().NumLogicalPages());
+  Fill(ftl, device.geometry().NumLogicalPages());
   UniformWorkload workload(device.geometry().NumLogicalPages(), 61);
   uint32_t cap = config.DirtyCap();
   ASSERT_GT(cap, 0u);
@@ -30,7 +30,7 @@ TEST(PolicyTest, DirtyCapBoundsDirtyEntries) {
 TEST(PolicyTest, UncappedGeckoFtlAccumulatesDirtyEntries) {
   FlashDevice device(FtlTestGeometry());
   GeckoFtl ftl(&device, GeckoFtl::DefaultConfig(128));
-  FtlExperiment::Fill(ftl, device.geometry().NumLogicalPages());
+  Fill(ftl, device.geometry().NumLogicalPages());
   UniformWorkload workload(device.geometry().NumLogicalPages(), 61);
   uint32_t max_dirty = 0;
   for (int i = 0; i < 3000; ++i) {
@@ -45,7 +45,7 @@ TEST(PolicyTest, UncappedGeckoFtlAccumulatesDirtyEntries) {
 TEST(PolicyTest, BatterySyncsEverythingBeforePowerLoss) {
   FlashDevice device(FtlTestGeometry());
   DftlFtl ftl(&device, DftlFtl::DefaultConfig(128));
-  FtlExperiment::Fill(ftl, device.geometry().NumLogicalPages());
+  Fill(ftl, device.geometry().NumLogicalPages());
   UniformWorkload workload(device.geometry().NumLogicalPages(), 67);
   for (int i = 0; i < 1000; ++i) ftl.Write(workload.NextLpn(), i);
   RecoveryReport report = ftl.CrashAndRecover();
@@ -64,7 +64,7 @@ TEST(PolicyTest, ImmediateModeReadsTranslationOnWriteMiss) {
   auto miss_reads = [](const std::string& name) {
     FlashDevice device(FtlTestGeometry());
     auto ftl = MakeFtl(name, &device, 16);  // tiny cache: every write misses
-    FtlExperiment::Fill(*ftl, 400);
+    Fill(*ftl, 400);
     IoCounters before = device.stats().Snapshot();
     for (Lpn lpn = 0; lpn < 200; ++lpn) ftl->Write(lpn, 1).ok();
     IoCounters delta = device.stats().Snapshot() - before;
@@ -81,7 +81,7 @@ TEST(PolicyTest, PinnedBlocksStayBounded) {
   FtlConfig config = GeckoFtl::DefaultConfig(64);
   config.max_pinned_metadata_blocks = 3;
   GeckoFtl ftl(&device, config);
-  FtlExperiment::Fill(ftl, device.geometry().NumLogicalPages());
+  Fill(ftl, device.geometry().NumLogicalPages());
   UniformWorkload workload(device.geometry().NumLogicalPages(), 71);
   for (int i = 0; i < 5000; ++i) {
     ASSERT_TRUE(ftl.Write(workload.NextLpn(), i).ok());
@@ -147,7 +147,7 @@ TEST(PolicyTest, CostBenefitAgeComparableAcrossChannels) {
 TEST(PolicyTest, WearLevelingOffByDefaultCostsNothing) {
   FlashDevice device(FtlTestGeometry());
   GeckoFtl ftl(&device, GeckoFtl::DefaultConfig(128));
-  FtlExperiment::Fill(ftl, 500);
+  Fill(ftl, 500);
   EXPECT_EQ(device.stats().counters().spare_reads[static_cast<int>(
                 IoPurpose::kWearLeveling)],
             0u);

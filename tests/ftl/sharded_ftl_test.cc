@@ -136,7 +136,7 @@ TEST_P(ShardedFtlTest, SingleShardBitIdenticalToUnsharded) {
       for (int i = 0; i < n; ++i) {
         // Occasionally out of range, to compare the rejection path.
         Lpn lpn = static_cast<Lpn>(rng.Uniform(capacity + 8));
-        request.Add(lpn, FtlExperiment::Token(lpn, ++version));
+        request.Add(lpn, RequestStream::PayloadToken(lpn, ++version));
       }
       IoRequest copy = request;
       IoResult want, got;
@@ -263,7 +263,7 @@ TEST_P(ShardedFtlTest, FlushBarrierMakesPriorWritesDurable) {
     IoRequest request(IoOp::kWrite);
     for (int j = 0; j < 4; ++j) {
       Lpn lpn = static_cast<Lpn>(rng.Uniform(capacity));
-      uint64_t token = FtlExperiment::Token(lpn, 1000 + i * 8 + j);
+      uint64_t token = RequestStream::PayloadToken(lpn, 1000 + i * 8 + j);
       request.Add(lpn, token);
       written.emplace_back(lpn, token);
     }
@@ -316,7 +316,7 @@ TEST_P(ShardedFtlTest, CrashDuringFanOutAbortsQueuedSubsExactlyOnce) {
       IoRequest request(IoOp::kWrite);
       for (int j = 0; j < 4; ++j) {
         Lpn lpn = static_cast<Lpn>(rng.Uniform(capacity));
-        request.Add(lpn, FtlExperiment::Token(lpn, i * 4 + j));
+        request.Add(lpn, RequestStream::PayloadToken(lpn, i * 4 + j));
       }
       std::atomic<uint32_t>* slot = &fired[i];
       Status s = sharded.SubmitAsync(
@@ -382,7 +382,7 @@ TEST_P(ShardedFtlTest, ConcurrentSubmittersDisjointRanges) {
         IoRequest request(IoOp::kWrite);
         for (int j = 0; j < 4; ++j) {
           Lpn lpn = base + static_cast<Lpn>(rng.Uniform(slice));
-          request.Add(lpn, FtlExperiment::Token(lpn, t * 1000 + round));
+          request.Add(lpn, RequestStream::PayloadToken(lpn, t * 1000 + round));
         }
         IoResult result;
         Status s = sharded->Submit(request, &result);

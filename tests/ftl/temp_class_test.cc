@@ -120,7 +120,7 @@ TEST_P(TempClassFtlTest, SkewedWorkloadKeepsDataIntact) {
   auto ftl = MakeFtl(FtlName(), &device, 128, TempTweak(4));
   const uint64_t num_lpns = device.geometry().NumLogicalPages();
   ShadowHarness shadow(ftl.get(), num_lpns);
-  FtlExperiment::Fill(*ftl, num_lpns);
+  Fill(*ftl, num_lpns);
 
   HotColdWorkload workload(num_lpns, 0.1, 0.9, FuzzSeed(211));
   for (int i = 0; i < 4000; ++i) {
@@ -142,7 +142,7 @@ TEST_P(TempClassFtlTest, GcDemotesSurvivorsOneClassColder) {
   auto* base = dynamic_cast<BaseFtl*>(ftl.get());
   ASSERT_NE(base, nullptr);
   const uint64_t num_lpns = device.geometry().NumLogicalPages();
-  FtlExperiment::Fill(*ftl, num_lpns);
+  Fill(*ftl, num_lpns);
 
   BlockManager& blocks = base->block_manager();
   EXPECT_EQ(blocks.num_temp_classes(), 4u);
@@ -171,7 +171,7 @@ TEST_P(TempClassFtlTest, TrimHeavyHotStreamStaysConsistent) {
   auto ftl = MakeFtl(FtlName(), &device, 128, TempTweak(4));
   const uint64_t num_lpns = device.geometry().NumLogicalPages();
   ShadowHarness shadow(ftl.get(), num_lpns);
-  FtlExperiment::Fill(*ftl, num_lpns);
+  Fill(*ftl, num_lpns);
 
   // Hot set: lpns [0, num_lpns/10), constantly rewritten AND trimmed —
   // trim affinity keeps them in the hot streams while the shadow map
@@ -205,7 +205,7 @@ TEST_P(TempClassFtlTest, CrashRecoverWithPerClassActivesOpen) {
   auto ftl = MakeFtl(FtlName(), &device, 128, TempTweak(4));
   const uint64_t num_lpns = device.geometry().NumLogicalPages();
   ShadowHarness shadow(ftl.get(), num_lpns);
-  FtlExperiment::Fill(*ftl, num_lpns);
+  Fill(*ftl, num_lpns);
 
   // Two crash/recover rounds, each with several temperature streams'
   // active blocks mid-fill (the skew plus GC demotion opens hot AND cold
@@ -249,7 +249,7 @@ TEST_P(TempClassFtlTest, SingleClassBitIdenticalToLegacyDefault) {
     uint32_t op = script.Uniform(100);
     Lpn lpn = static_cast<Lpn>(script.Uniform(num_lpns));
     if (op < 60) {
-      uint64_t payload = FtlExperiment::Token(lpn, i);
+      uint64_t payload = RequestStream::PayloadToken(lpn, i);
       EXPECT_EQ(legacy->Write(lpn, payload).code(),
                 tuned->Write(lpn, payload).code());
     } else if (op < 80) {

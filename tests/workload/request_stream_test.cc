@@ -6,7 +6,6 @@
 #include <set>
 #include <vector>
 
-#include "workload/bursty_stream.h"
 #include "workload/request_stream.h"
 
 namespace gecko {
@@ -276,35 +275,6 @@ TEST(RequestStreamDeathTest, OwnedForkWithoutSpecAborts) {
   RequestStream::Options options;
   RequestStream stream(&w, options);
   EXPECT_DEATH(stream.Fork(0), "WorkloadSpec");
-}
-
-TEST(BurstyRequestStreamTest, ForkIsDeterministicAndReseedsWrappedStream) {
-  BurstyRequestStream::Options options;
-  options.burst_requests = 4;
-  options.idle_slots = 2;
-  options.stream.batch_size = 4;
-  options.stream.seed = 55;
-  UniformWorkload proto_w(256, 9), w1(256, 9), w2(256, 9), w3(256, 9);
-  BurstyRequestStream prototype(&proto_w, options);
-  BurstyRequestStream a = prototype.Fork(1, &w1);
-  BurstyRequestStream b = prototype.Fork(1, &w2);
-  BurstyRequestStream other = prototype.Fork(2, &w3);
-
-  EXPECT_EQ(a.options().stream.seed, RequestStream::ForkSeed(55, 1));
-  EXPECT_NE(a.options().stream.seed, other.options().stream.seed);
-  EXPECT_NE(a.options().stream.version_base,
-            other.options().stream.version_base);
-
-  for (int i = 0; i < 24; ++i) {
-    BurstyRequestStream::Slot sa = a.Next(), sb = b.Next();
-    ASSERT_EQ(sa.idle, sb.idle);
-    if (sa.idle) continue;
-    ASSERT_EQ(sa.request.extents.size(), sb.request.extents.size());
-    for (size_t j = 0; j < sa.request.extents.size(); ++j) {
-      EXPECT_EQ(sa.request.extents[j].lpn, sb.request.extents[j].lpn);
-      EXPECT_EQ(sa.request.extents[j].payload, sb.request.extents[j].payload);
-    }
-  }
 }
 
 }  // namespace
