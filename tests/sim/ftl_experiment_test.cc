@@ -1,47 +1,59 @@
-#include "sim/ftl_experiment.h"
+// Experiment helpers beside the load driver: payload tokens, Fill, and
+// the closed loop's WA breakdown, measured over the measurement window
+// only.
+
+#include "sim/load_driver.h"
 
 #include <gtest/gtest.h>
 
 #include "ftl/gecko_ftl.h"
+#include "tests/ftl/ftl_test_util.h"
 #include "workload/workload.h"
 
 namespace gecko {
 namespace {
 
-Geometry SmallGeometry() {
-  Geometry g;
-  g.num_blocks = 96;
-  g.pages_per_block = 16;
-  g.page_bytes = 512;
-  g.logical_ratio = 0.7;
-  return g;
-}
-
-TEST(FtlExperimentTest, TokensAreDistinctPerVersion) {
-  EXPECT_NE(FtlExperiment::Token(1, 1), FtlExperiment::Token(1, 2));
-  EXPECT_NE(FtlExperiment::Token(1, 1), FtlExperiment::Token(2, 1));
-  EXPECT_EQ(FtlExperiment::Token(7, 9), FtlExperiment::Token(7, 9));
+TEST(FtlExperimentTest, PayloadTokensAreDistinctPerVersion) {
+  EXPECT_NE(RequestStream::PayloadToken(1, 1),
+            RequestStream::PayloadToken(1, 2));
+  EXPECT_NE(RequestStream::PayloadToken(1, 1),
+            RequestStream::PayloadToken(2, 1));
+  EXPECT_EQ(RequestStream::PayloadToken(7, 9),
+            RequestStream::PayloadToken(7, 9));
 }
 
 TEST(FtlExperimentTest, FillWritesEveryPageOnce) {
-  FlashDevice device(SmallGeometry());
+  FlashDevice device(FtlTestGeometry());
   GeckoFtl ftl(&device, GeckoFtl::DefaultConfig(128));
-  FtlExperiment::Fill(ftl, device.geometry().NumLogicalPages());
+  Fill(ftl, device.geometry().NumLogicalPages());
   EXPECT_EQ(device.stats().counters().logical_writes,
             device.geometry().NumLogicalPages());
   uint64_t payload = 0;
   ASSERT_TRUE(ftl.Read(0, &payload).ok());
-  EXPECT_EQ(payload, FtlExperiment::Token(0, 0));
+  EXPECT_EQ(payload, RequestStream::PayloadToken(0, 0));
 }
 
-TEST(FtlExperimentTest, MeasureWaCoversOnlyMeasurementWindow) {
-  FlashDevice device(SmallGeometry());
+TEST(FtlExperimentTest, ClosedLoopWaCoversOnlyMeasurementWindow) {
+  FlashDevice device(FtlTestGeometry());
   GeckoFtl ftl(&device, GeckoFtl::DefaultConfig(128));
-  FtlExperiment::Fill(ftl, device.geometry().NumLogicalPages());
+  Fill(ftl, device.geometry().NumLogicalPages());
   UniformWorkload workload(device.geometry().NumLogicalPages(), 1);
-  WaBreakdown wa =
-      FtlExperiment::MeasureWa(ftl, device, workload, 2000, 3000);
+  RequestStream stream(&workload, {.batch_size = 1});
+  LoadDriver driver(&ftl, &device);
+  driver.Run({.until_extents = 2000}, stream);
+  const uint64_t writes_before = device.stats().counters().logical_writes;
+  LoadReport r = driver.Run({.until_extents = 5000}, stream);
+  EXPECT_EQ(r.arrivals, 3000u);
+  EXPECT_EQ(r.completed, 3000u);
+  EXPECT_EQ(r.extents_completed, 3000u);
+  EXPECT_EQ(r.latency.count(), 3000u);
+  EXPECT_EQ(r.io.logical_writes,
+            device.stats().counters().logical_writes - writes_before);
+  EXPECT_GT(r.elapsed_us, 0.0);
+  EXPECT_EQ(r.offered_kiops, 0.0);  // no arrival clock
+  EXPECT_GT(r.achieved_kiops, 0.0);
   // Under GC pressure every category is active and positive.
+  const WaBreakdown& wa = r.wa;
   EXPECT_GT(wa.total, 0.0);
   EXPECT_GE(wa.user_and_gc, 0.0);
   EXPECT_GT(wa.translation, 0.0);

@@ -1,17 +1,12 @@
-// Load driver tests, per regime:
-//   closed loop   — identical to a hand loop of Ftl::Submit, WA measured
-//                   over the measurement window only, bursty idle slots
-//                   run between bursts across Runs;
-//   open loop     — on all five FTLs: every arrival completes, overflow
-//                   beyond the queue depth defers FIFO instead of being
-//                   dropped, latency includes overflow-queue wait;
-//   threaded      — on both MPSC queue backends: every arrival completes
-//                   and forked per-thread streams make runs deterministic.
+// Load driver closed-loop tests: a closed-loop run is identical to a
+// hand loop of Ftl::Submit on all five FTLs, and bursty idle slots run
+// between bursts across Runs. The open-loop, threaded and helper cases
+// live in open_loop_driver_test.cc, parallel_driver_test.cc and
+// ftl_experiment_test.cc.
 
 #include "sim/load_driver.h"
 
 #include <cstring>
-#include <memory>
 #include <type_traits>
 
 #include <gtest/gtest.h>
@@ -30,56 +25,6 @@ template <typename T>
 bool SameBytes(const T& a, const T& b) {
   static_assert(std::has_unique_object_representations_v<T>);
   return std::memcmp(&a, &b, sizeof(T)) == 0;
-}
-
-TEST(LoadDriverTest, PayloadTokensAreDistinctPerVersion) {
-  EXPECT_NE(RequestStream::PayloadToken(1, 1),
-            RequestStream::PayloadToken(1, 2));
-  EXPECT_NE(RequestStream::PayloadToken(1, 1),
-            RequestStream::PayloadToken(2, 1));
-  EXPECT_EQ(RequestStream::PayloadToken(7, 9),
-            RequestStream::PayloadToken(7, 9));
-}
-
-TEST(LoadDriverTest, FillWritesEveryPageOnce) {
-  FlashDevice device(FtlTestGeometry());
-  GeckoFtl ftl(&device, GeckoFtl::DefaultConfig(128));
-  Fill(ftl, device.geometry().NumLogicalPages());
-  EXPECT_EQ(device.stats().counters().logical_writes,
-            device.geometry().NumLogicalPages());
-  uint64_t payload = 0;
-  ASSERT_TRUE(ftl.Read(0, &payload).ok());
-  EXPECT_EQ(payload, RequestStream::PayloadToken(0, 0));
-}
-
-TEST(LoadDriverTest, ClosedLoopWaCoversOnlyMeasurementWindow) {
-  FlashDevice device(FtlTestGeometry());
-  GeckoFtl ftl(&device, GeckoFtl::DefaultConfig(128));
-  Fill(ftl, device.geometry().NumLogicalPages());
-  UniformWorkload workload(device.geometry().NumLogicalPages(), 1);
-  RequestStream stream(&workload, {.batch_size = 1});
-  LoadDriver driver(&ftl, &device);
-  driver.Run({.until_extents = 2000}, stream);
-  const uint64_t writes_before = device.stats().counters().logical_writes;
-  LoadReport r = driver.Run({.until_extents = 5000}, stream);
-  EXPECT_EQ(r.arrivals, 3000u);
-  EXPECT_EQ(r.completed, 3000u);
-  EXPECT_EQ(r.extents_completed, 3000u);
-  EXPECT_EQ(r.latency.count(), 3000u);
-  EXPECT_EQ(r.io.logical_writes,
-            device.stats().counters().logical_writes - writes_before);
-  EXPECT_GT(r.elapsed_us, 0.0);
-  EXPECT_EQ(r.offered_kiops, 0.0);  // no arrival clock
-  EXPECT_GT(r.achieved_kiops, 0.0);
-  // Under GC pressure every category is active and positive.
-  const WaBreakdown& wa = r.wa;
-  EXPECT_GT(wa.total, 0.0);
-  EXPECT_GE(wa.user_and_gc, 0.0);
-  EXPECT_GT(wa.translation, 0.0);
-  EXPECT_GT(wa.page_validity, 0.0);
-  // The breakdown never exceeds the total.
-  EXPECT_LE(wa.user_and_gc + wa.translation + wa.page_validity,
-            wa.total + 1e-9);
 }
 
 TEST(LoadDriverTest, IdleSlotsRunBetweenBurstsAcrossRuns) {
@@ -156,158 +101,7 @@ TEST_P(LoadDriverFtlTest, ClosedLoopMatchesHandSubmitLoop) {
   }
 }
 
-LoadReport RunOpenLoop(Ftl* ftl, FlashDevice* device, uint64_t requests,
-                       double inter_arrival_us, double read_fraction) {
-  Fill(*ftl, kSpan, /*batch_size=*/16);
-  EXPECT_TRUE(ftl->Flush().ok());
-  device->stats().Reset();
-
-  UniformWorkload workload(kSpan, 42);
-  RequestStream::Options sopt;
-  sopt.batch_size = 1;
-  sopt.read_fraction = read_fraction;
-  sopt.seed = 7;
-  RequestStream stream(&workload, sopt);
-
-  LoadDriver driver(ftl, device);
-  return driver.Run(
-      {.inter_arrival_us = inter_arrival_us, .requests = requests}, stream);
-}
-
-TEST_P(LoadDriverFtlTest, EveryArrivalCompletesAndLatencyIsAccounted) {
-  FlashDevice device(Geo());
-  auto ftl = MakeFtl(FtlName(), &device, 128,
-                     [](FtlConfig& c) { c.async_queue_depth = 8; });
-  LoadReport r = RunOpenLoop(ftl.get(), &device, 128,
-                             /*inter_arrival_us=*/50.0,
-                             /*read_fraction=*/0.25);
-  EXPECT_EQ(r.arrivals, 128u);
-  EXPECT_EQ(r.completed, 128u);
-  EXPECT_EQ(r.aborted, 0u);
-  EXPECT_EQ(r.failed_extents, 0u);
-  EXPECT_EQ(r.extents_completed, r.extents_offered);
-  EXPECT_EQ(r.latency.count(), 128u);
-  EXPECT_GT(r.achieved_kiops, 0.0);
-  EXPECT_GE(r.latency.P99(), r.latency.P50());
-  EXPECT_GE(r.latency.Percentile(0.999), r.latency.P99());
-  EXPECT_GE(r.latency.MaxUs(), r.latency.Percentile(0.999));
-  EXPECT_EQ(ftl->InFlightRequests(), 0u);
-  EXPECT_EQ(device.stats().host_inflight(), 0u);
-  EXPECT_LE(device.stats().host_inflight_watermark(), 8u);
-}
-
-TEST_P(LoadDriverFtlTest, SaturatingLoadDefersButLosesNothing) {
-  FlashDevice device(Geo());
-  auto ftl = MakeFtl(FtlName(), &device, 128,
-                     [](FtlConfig& c) { c.async_queue_depth = 2; });
-  // One arrival per microsecond against millisecond-scale writes: almost
-  // every arrival finds the 2-deep queue full and must wait its turn.
-  LoadReport r = RunOpenLoop(ftl.get(), &device, 64,
-                             /*inter_arrival_us=*/1.0,
-                             /*read_fraction=*/0.0);
-  EXPECT_EQ(r.completed, 64u);
-  EXPECT_GT(r.deferrals, 0u);
-  EXPECT_EQ(device.stats().host_inflight_watermark(), 2u);
-  // The run takes as long as the device needs, far beyond the arrival
-  // window, and the tail reflects time spent in the overflow queue.
-  EXPECT_GT(r.elapsed_us, 64 * 1.0);
-  EXPECT_GT(r.latency.P99(), r.latency.P50() / 2);
-}
-
-TEST_P(LoadDriverFtlTest, BackToBackRunsMeasureIndependently) {
-  FlashDevice device(Geo());
-  auto ftl = MakeFtl(FtlName(), &device, 128,
-                     [](FtlConfig& c) { c.async_queue_depth = 4; });
-  LoadReport first = RunOpenLoop(ftl.get(), &device, 32, 100.0, 0.0);
-  EXPECT_EQ(first.completed, 32u);
-
-  UniformWorkload workload(kSpan, 43);
-  RequestStream::Options sopt;
-  sopt.batch_size = 1;
-  sopt.seed = 8;
-  RequestStream stream(&workload, sopt);
-  LoadDriver driver(ftl.get(), &device);
-  LoadReport second =
-      driver.Run({.inter_arrival_us = 100.0, .requests = 32}, stream);
-  EXPECT_EQ(second.arrivals, 32u);
-  EXPECT_EQ(second.completed, 32u);
-  EXPECT_EQ(second.latency.count(), 32u);
-}
-
 GECKO_INSTANTIATE_CHANNEL_FTL_SUITE(LoadDriverFtlTest);
-
-// --- Threaded: T submitters against a ShardedFtl ------------------------
-
-ShardedFtlOptions SmallShardedOptions(uint32_t num_shards, bool lock_free) {
-  ShardedFtlOptions options;
-  Geometry g;
-  g.num_blocks = 64;
-  g.pages_per_block = 16;
-  g.page_bytes = 512;
-  g.logical_ratio = 0.7;
-  g.num_channels = num_shards <= 4 ? num_shards : 4;
-  options.geometry = g;
-  options.num_shards = num_shards;
-  options.config = GeckoFtl::DefaultConfig(64);
-  options.lock_free_queue = lock_free;
-  return options;
-}
-
-LoadReport RunThreaded(uint32_t threads, bool lock_free) {
-  ShardedFtl sharded(
-      SmallShardedOptions(4, lock_free),
-      [](FlashDevice* device, const FtlConfig& config) {
-        return std::make_unique<GeckoFtl>(device, config);
-      });
-  LoadDriver driver(&sharded);
-
-  RequestStream::Options sopt;
-  sopt.batch_size = 4;
-  sopt.read_fraction = 0.25;
-  sopt.seed = 11;
-  RequestStream prototype(nullptr, sopt);
-  const uint64_t capacity = sharded.shard_map().TotalLpns();
-  LoadReport report = driver.Run(
-      {.threads = threads, .inter_arrival_us = 500.0, .requests = 64},
-      prototype, [capacity](uint32_t thread) {
-        return std::make_unique<UniformWorkload>(capacity, 500 + thread);
-      });
-  EXPECT_EQ(sharded.InFlightRequests(), 0u);
-  return report;
-}
-
-TEST(LoadDriverThreadedTest, EveryArrivalCompletes) {
-  for (bool lock_free : {false, true}) {
-    SCOPED_TRACE(lock_free ? "lock-free queue" : "mutex queue");
-    LoadReport report = RunThreaded(4, lock_free);
-    EXPECT_EQ(report.arrivals, 4u * 64u);
-    EXPECT_EQ(report.completed + report.aborted, report.arrivals);
-    EXPECT_EQ(report.aborted, 0u);
-    EXPECT_GT(report.extents_completed, 0u);
-    EXPECT_EQ(report.extents_completed, report.extents_offered);
-    EXPECT_GT(report.elapsed_us, 0.0);
-    EXPECT_GT(report.achieved_kiops, 0.0);
-    EXPECT_GT(report.io.TotalWrites(), 0u);
-    EXPECT_EQ(report.latency.count(), report.completed);
-    EXPECT_GE(report.latency.P99(), report.latency.P50());
-  }
-}
-
-TEST(LoadDriverThreadedTest, ForkedStreamsMakeRunsDeterministic) {
-  // Same seeds, same thread count -> identical offered work. (Completion
-  // interleaving varies with scheduling, but the workload must not.)
-  LoadReport a = RunThreaded(2, true);
-  LoadReport b = RunThreaded(2, true);
-  EXPECT_EQ(a.arrivals, b.arrivals);
-  EXPECT_EQ(a.extents_offered, b.extents_offered);
-  EXPECT_EQ(a.extents_completed, b.extents_completed);
-}
-
-TEST(LoadDriverThreadedTest, SingleThreadStillDrives) {
-  LoadReport report = RunThreaded(1, true);
-  EXPECT_EQ(report.arrivals, 64u);
-  EXPECT_EQ(report.completed, 64u);
-}
 
 }  // namespace
 }  // namespace gecko

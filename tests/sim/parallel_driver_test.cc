@@ -1,8 +1,8 @@
-// Parallel open-loop driver tests: every arrival completes, throughput
-// is measured in simulated device time, and forked per-thread streams
-// make runs deterministic.
+// The load driver's threaded regime (threads > 0) on both MPSC queue
+// backends: every arrival completes, throughput is measured in simulated
+// device time, and forked per-thread streams make runs deterministic.
 
-#include "sim/parallel_driver.h"
+#include "sim/load_driver.h"
 
 #include <memory>
 
@@ -14,7 +14,7 @@
 namespace gecko {
 namespace {
 
-ShardedFtlOptions SmallOptions(uint32_t num_shards, bool lock_free) {
+ShardedFtlOptions SmallShardedOptions(uint32_t num_shards, bool lock_free) {
   ShardedFtlOptions options;
   Geometry g;
   g.num_blocks = 64;
@@ -29,28 +29,23 @@ ShardedFtlOptions SmallOptions(uint32_t num_shards, bool lock_free) {
   return options;
 }
 
-FtlFactory GeckoFactory() {
-  return [](FlashDevice* device, const FtlConfig& config) {
-    return std::make_unique<GeckoFtl>(device, config);
-  };
-}
+LoadReport RunThreaded(uint32_t threads, bool lock_free) {
+  ShardedFtl sharded(
+      SmallShardedOptions(4, lock_free),
+      [](FlashDevice* device, const FtlConfig& config) {
+        return std::make_unique<GeckoFtl>(device, config);
+      });
+  LoadDriver driver(&sharded);
 
-ParallelDriverReport RunOnce(uint32_t threads, bool lock_free) {
-  ShardedFtl sharded(SmallOptions(4, lock_free), GeckoFactory());
-  ParallelDriverOptions options;
-  options.threads = threads;
-  options.requests_per_thread = 64;
-  options.inter_arrival_us = 500.0;
-  options.max_outstanding_per_thread = 8;
-  ParallelDriver driver(&sharded, options);
-
-  RequestStream::Options stream;
-  stream.batch_size = 4;
-  stream.read_fraction = 0.25;
-  stream.seed = 11;
+  RequestStream::Options sopt;
+  sopt.batch_size = 4;
+  sopt.read_fraction = 0.25;
+  sopt.seed = 11;
+  RequestStream prototype(nullptr, sopt);
   const uint64_t capacity = sharded.shard_map().TotalLpns();
-  ParallelDriverReport report =
-      driver.Run(stream, [capacity](uint32_t thread) {
+  LoadReport report = driver.Run(
+      {.threads = threads, .inter_arrival_us = 500.0, .requests = 64},
+      prototype, [capacity](uint32_t thread) {
         return std::make_unique<UniformWorkload>(capacity, 500 + thread);
       });
   EXPECT_EQ(sharded.InFlightRequests(), 0u);
@@ -59,7 +54,8 @@ ParallelDriverReport RunOnce(uint32_t threads, bool lock_free) {
 
 TEST(ParallelDriverTest, EveryArrivalCompletes) {
   for (bool lock_free : {false, true}) {
-    ParallelDriverReport report = RunOnce(4, lock_free);
+    SCOPED_TRACE(lock_free ? "lock-free queue" : "mutex queue");
+    LoadReport report = RunThreaded(4, lock_free);
     EXPECT_EQ(report.arrivals, 4u * 64u);
     EXPECT_EQ(report.completed + report.aborted, report.arrivals);
     EXPECT_EQ(report.aborted, 0u);
@@ -67,24 +63,24 @@ TEST(ParallelDriverTest, EveryArrivalCompletes) {
     EXPECT_EQ(report.extents_completed, report.extents_offered);
     EXPECT_GT(report.elapsed_us, 0.0);
     EXPECT_GT(report.achieved_kiops, 0.0);
-    EXPECT_EQ(report.latency.count(),
-              static_cast<uint64_t>(report.completed));
-    EXPECT_GE(report.p99_us, report.p50_us);
+    EXPECT_GT(report.io.TotalWrites(), 0u);
+    EXPECT_EQ(report.latency.count(), report.completed);
+    EXPECT_GE(report.latency.P99(), report.latency.P50());
   }
 }
 
 TEST(ParallelDriverTest, ForkedStreamsMakeRunsDeterministic) {
   // Same seeds, same thread count -> identical offered work. (Completion
   // interleaving varies with scheduling, but the workload must not.)
-  ParallelDriverReport a = RunOnce(2, true);
-  ParallelDriverReport b = RunOnce(2, true);
+  LoadReport a = RunThreaded(2, true);
+  LoadReport b = RunThreaded(2, true);
   EXPECT_EQ(a.arrivals, b.arrivals);
   EXPECT_EQ(a.extents_offered, b.extents_offered);
   EXPECT_EQ(a.extents_completed, b.extents_completed);
 }
 
 TEST(ParallelDriverTest, SingleThreadStillDrives) {
-  ParallelDriverReport report = RunOnce(1, true);
+  LoadReport report = RunThreaded(1, true);
   EXPECT_EQ(report.arrivals, 64u);
   EXPECT_EQ(report.completed, 64u);
 }
