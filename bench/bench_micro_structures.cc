@@ -119,13 +119,39 @@ void BM_MappingCacheMixed(benchmark::State& state) {
                                      false, false, false});
     } else {
       cache.MarkDirty(e);
-      e->dirty = false;
-      cache.NoteCleaned();
+      cache.MarkClean(e);
     }
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MappingCacheMixed);
+
+// The dirty-entry cap of LazyFTL and IB-FTL (BaseFtl::EnforceDirtyCap):
+// every op dirties one entry, and whenever more than 10% of the cache is
+// dirty the oldest dirty entry is found and cleaned, as a sync would.
+void BM_MappingCacheDirtyCap(benchmark::State& state) {
+  constexpr uint32_t kCapacity = 4096;
+  constexpr uint32_t kDirtyCap = kCapacity / 10;
+  MappingCache cache(kCapacity, /*lpns_per_tpage=*/1024);
+  Rng rng(5);
+  for (auto _ : state) {
+    Lpn lpn = static_cast<Lpn>(rng.Uniform(16384));
+    MappingEntry* e = cache.Find(lpn);
+    if (e == nullptr) {
+      while (cache.NeedsEviction()) cache.Erase(cache.PeekLru());
+      e = cache.Insert(lpn, MappingEntry{PhysicalAddress{lpn % 64, lpn % 16},
+                                         false, false, false});
+    }
+    cache.MarkDirty(e);
+    Lpn oldest = 0;
+    while (cache.dirty_count() > kDirtyCap && cache.OldestDirty(&oldest)) {
+      cache.MarkClean(cache.Find(oldest));
+    }
+    benchmark::DoNotOptimize(oldest);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MappingCacheDirtyCap);
 
 void BM_GeckoFtlWrite(benchmark::State& state) {
   Geometry g;

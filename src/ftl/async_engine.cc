@@ -1,5 +1,6 @@
 #include "ftl/async_engine.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -63,41 +64,73 @@ Status AsyncEngine::Submit(IoRequest&& request, CompletionCb on_complete) {
     Dispatch(r);
   } else {
     ++stats_.parked;
+    ++parked_now_;
   }
   return Status::Ok();
 }
 
+uint64_t AsyncEngine::PackKey(const DepKey& key) {
+  GECKO_CHECK_LT(key.id, uint64_t{1} << 56) << "dependency key id too large";
+  return uint64_t{static_cast<uint8_t>(key.space)} << 56 | key.id;
+}
+
 bool AsyncEngine::Grantable(const Inflight& r) const {
-  for (const DepKey& key : r.keys) {
-    auto it = key_claims_.find({static_cast<uint8_t>(key.space), key.id});
-    if (it == key_claims_.end()) continue;
-    for (const Claim& claim : it->second) {
+  for (size_t i = 0; i < r.keys.size(); ++i) {
+    const bool exclusive = r.keys[i].exclusive;
+    const KeyClaims& kc = key_claims_[r.key_slots[i]];
+    if (!exclusive && kc.exclusive == 0) continue;  // all shared
+    for (const Claim& claim : kc.claims) {
       if (claim.seq >= r.seq) break;  // FIFO: only earlier claims block
-      if (claim.exclusive || key.exclusive) return false;
+      if (claim.exclusive || exclusive) return false;
     }
   }
   return true;
 }
 
-void AsyncEngine::ClaimKeys(const Inflight& r) {
+void AsyncEngine::ClaimKeys(Inflight& r) {
+  r.key_slots.reserve(r.keys.size());
   for (const DepKey& key : r.keys) {
-    key_claims_[{static_cast<uint8_t>(key.space), key.id}].push_back(
-        Claim{r.seq, key.exclusive});
+    const uint64_t packed = PackKey(key);
+    uint32_t slot = key_index_.Find(packed);
+    if (slot == FlatHashIndex::kAbsent) {
+      if (free_key_slots_.empty()) {
+        slot = static_cast<uint32_t>(key_claims_.size());
+        key_claims_.emplace_back();
+      } else {
+        slot = free_key_slots_.back();
+        free_key_slots_.pop_back();
+      }
+      key_index_.Insert(packed, slot);
+    }
+    KeyClaims& kc = key_claims_[slot];
+    kc.claims.push_back(Claim{r.seq, key.exclusive});
+    if (key.exclusive) ++kc.exclusive;
+    r.key_slots.push_back(slot);
   }
 }
 
 void AsyncEngine::ReleaseKeys(const Inflight& r) {
-  for (const DepKey& key : r.keys) {
-    auto it = key_claims_.find({static_cast<uint8_t>(key.space), key.id});
-    GECKO_CHECK(it != key_claims_.end());
-    std::deque<Claim>& claims = it->second;
-    for (auto c = claims.begin(); c != claims.end(); ++c) {
-      if (c->seq == r.seq) {
-        claims.erase(c);
-        break;
+  for (size_t i = 0; i < r.keys.size(); ++i) {
+    const uint32_t slot = r.key_slots[i];
+    KeyClaims& kc = key_claims_[slot];
+    auto it = std::lower_bound(
+        kc.claims.begin(), kc.claims.end(), r.seq,
+        [](const Claim& c, uint64_t seq) { return c.seq < seq; });
+    GECKO_CHECK(it != kc.claims.end() && it->seq == r.seq);
+    const bool exclusive = it->exclusive;
+    it = kc.claims.erase(it);
+    if (exclusive) --kc.exclusive;
+    // Claims before r's cannot have conflicted with it (r could not have
+    // dispatched), so the candidates are the later conflicting ones.
+    if (parked_now_ > 0 && (exclusive || kc.exclusive > 0)) {
+      for (; it != kc.claims.end(); ++it) {
+        if (exclusive || it->exclusive) wake_.push_back(it->seq);
       }
     }
-    if (claims.empty()) key_claims_.erase(it);
+    if (kc.claims.empty()) {
+      key_index_.Erase(PackKey(r.keys[i]));
+      free_key_slots_.push_back(slot);
+    }
   }
 }
 
@@ -197,13 +230,23 @@ uint64_t AsyncEngine::ProcessDueFetches() {
   return retired;
 }
 
-void AsyncEngine::DispatchGrantableParked() {
+void AsyncEngine::DispatchWoken() {
+  if (wake_.empty()) return;
   // Admission order; dispatching one cannot un-grant another (claims are
   // made at admission and only released at completion), so one pass is
   // enough.
-  for (auto& [seq, r] : requests_) {
-    if (!r.dispatched && Grantable(r)) Dispatch(r);
+  std::sort(wake_.begin(), wake_.end());
+  wake_.erase(std::unique(wake_.begin(), wake_.end()), wake_.end());
+  for (uint64_t seq : wake_) {
+    auto it = requests_.find(seq);
+    GECKO_CHECK(it != requests_.end() && !it->second.dispatched)
+        << "woken request " << seq << " is not parked";
+    if (Grantable(it->second)) {
+      --parked_now_;
+      Dispatch(it->second);
+    }
   }
+  wake_.clear();
 }
 
 uint64_t AsyncEngine::FireDueCompletions() {
@@ -229,7 +272,7 @@ uint64_t AsyncEngine::FireDueCompletions() {
     // Unblock dependents before the callback: a parked zero-op request
     // released here completes at the current clock and fires within this
     // same loop.
-    DispatchGrantableParked();
+    DispatchWoken();
     if (r.on_complete) {
       AsyncCompletion done;
       done.submit_us = r.submit_us;
@@ -293,7 +336,11 @@ uint64_t AsyncEngine::AbortAll() {
     pipeline_open_ = false;
   }
   completion_heap_ = {};
+  key_index_.Clear();
   key_claims_.clear();
+  free_key_slots_.clear();
+  parked_now_ = 0;
+  wake_.clear();
   // Translation fetches die with the power: their charged reads landed in
   // the stats like any dispatched op, but the parked extents they were
   // servicing never replay — each aborts with its request below. Zero the

@@ -34,16 +34,23 @@
 // host computes each request's dependency keys (it knows LPN->translation-
 // page geometry and the cache state); the engine only runs the lock table:
 // a request dispatches when every key it claims is compatible with every
-// earlier claim, and completions re-scan parked requests in admission
-// order. Keys are claimed all-at-once at admission in seq order, so the
-// wait-for graph is acyclic and progress is guaranteed (the earliest
-// in-flight request is always dispatched).
+// earlier claim. Keys are claimed all-at-once at admission in seq order,
+// so the wait-for graph is acyclic and progress is guaranteed (the
+// earliest in-flight request is always dispatched).
+//
+// Wake-ups are targeted. Only a release can make a parked request
+// grantable, and only a release of a claim that conflicted with one of its
+// claims; every conflicting claimant behind a dispatched claim is parked.
+// So a completion re-tests just those claimants, in seq order — the same
+// requests, in the same order, that a rescan of every parked request in
+// admission order would dispatch — and nothing at all when no request is
+// parked. The shared kGlobal claim every request holds conflicts only with
+// flushes, so it wakes nothing in the common case.
 
 #ifndef GECKOFTL_FTL_ASYNC_ENGINE_H_
 #define GECKOFTL_FTL_ASYNC_ENGINE_H_
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <queue>
 #include <utility>
@@ -51,6 +58,7 @@
 
 #include "flash/flash_device.h"
 #include "ftl/ftl.h"
+#include "util/flat_hash_index.h"
 
 namespace gecko {
 
@@ -199,6 +207,7 @@ class AsyncEngine {
     CompletionCb on_complete;
     IoResult result;
     std::vector<DepKey> keys;
+    std::vector<uint32_t> key_slots;  // keys[i]'s entry in key_claims_
     RequestClass cls = RequestClass::kWrite;
     double submit_us = 0;
     double complete_us = 0;
@@ -221,16 +230,24 @@ class AsyncEngine {
     std::vector<Waiter> waiters;
   };
 
-  /// A claim parked on one key's FIFO waiting list.
+  /// One in-flight request's claim on a key.
   struct Claim {
     uint64_t seq;
     bool exclusive;
   };
-  using KeyId = std::pair<uint8_t, uint64_t>;  // (space, id)
+  /// Every claim on one key, in admission (seq) order.
+  struct KeyClaims {
+    std::vector<Claim> claims;
+    uint32_t exclusive = 0;  // how many of `claims` are exclusive
+  };
+  /// (space, id) packed into one FlatHashIndex key.
+  static uint64_t PackKey(const DepKey& key);
 
   /// Whether every key of `r` is compatible with all earlier claims.
   bool Grantable(const Inflight& r) const;
-  void ClaimKeys(const Inflight& r);
+  void ClaimKeys(Inflight& r);
+  /// Drops `r`'s claims. While requests are parked, collects into wake_
+  /// the later claimants whose claims conflicted with a released one.
   void ReleaseKeys(const Inflight& r);
 
   /// Services `r` through the host inside the engine window, capturing
@@ -244,9 +261,9 @@ class AsyncEngine {
   /// moving fully-resolved requests onto the completion heap. Returns the
   /// number of fetches retired.
   uint64_t ProcessDueFetches();
-  /// Dispatches, in admission order, every parked request whose keys
-  /// became compatible.
-  void DispatchGrantableParked();
+  /// Dispatches, in admission order, every request in wake_ whose keys
+  /// have all become compatible.
+  void DispatchWoken();
   /// Fires callbacks of dispatched requests whose completion time has
   /// been reached by the device clock.
   uint64_t FireDueCompletions();
@@ -258,7 +275,16 @@ class AsyncEngine {
   /// In-flight requests by admission seq (ordered: abort/park scans are
   /// deterministic).
   std::map<uint64_t, Inflight> requests_;
-  std::map<KeyId, std::deque<Claim>> key_claims_;
+  /// The lock table: packed key -> slot of key_claims_. Slots of keys
+  /// with no claims left are recycled through free_key_slots_, keeping
+  /// their vectors' capacity.
+  FlatHashIndex key_index_;
+  std::vector<KeyClaims> key_claims_;
+  std::vector<uint32_t> free_key_slots_;
+  /// Admitted requests not yet dispatched.
+  uint32_t parked_now_ = 0;
+  /// Wake-up candidates collected by ReleaseKeys (seqs, unsorted).
+  std::vector<uint64_t> wake_;
   using EventHeap =
       std::priority_queue<std::pair<double, uint64_t>,
                           std::vector<std::pair<double, uint64_t>>,

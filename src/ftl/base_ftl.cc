@@ -14,7 +14,8 @@ BaseFtl::BaseFtl(FlashDevice* device, const FtlConfig& config)
       // manager's auto-erase of fully-invalid metadata blocks instead.
       blocks_(device, !GcPolicyCollectsMetadata(config.gc_policy)),
       translation_(device->geometry(), device, &blocks_),
-      cache_(config.cache_capacity),
+      cache_(config.cache_capacity,
+             device->geometry().MappingEntriesPerTranslationPage()),
       hotness_(config.num_temp_classes == 0 ? 1 : config.num_temp_classes,
                config.hotness_sketch_bits, config.hotness_decay_period),
       victim_policy_(MakeGcVictimPolicy(config.gc_policy)),
@@ -500,11 +501,12 @@ void BaseFtl::ReadBatch(const IoRequest& request, IoResult* result) {
 void BaseFtl::IssueMappingFetch(uint64_t tpage) {
   ++counters_.miss_fetches;
   // One charged flash read pays for every extent parked on this
-  // translation page. The decoded image is discarded: data effects are
-  // synchronous in this simulator, so each replay peeks the then-current
-  // image instead of a snapshot (correct under concurrent GC migration
-  // and interleaved synchronizations of the page).
-  translation_.ReadTPage(static_cast<TPageId>(tpage), IoPurpose::kTranslation);
+  // translation page. Nothing is decoded: data effects are synchronous in
+  // this simulator, so each replay peeks the then-current image instead
+  // of a snapshot (correct under concurrent GC migration and interleaved
+  // synchronizations of the page).
+  translation_.ChargeTPageRead(static_cast<TPageId>(tpage),
+                               IoPurpose::kTranslation);
 }
 
 void BaseFtl::ResolveParkedExtent(IoRequest& request, IoResult* result,
@@ -666,10 +668,9 @@ void BaseFtl::SyncTranslationPage(TPageId tpage) {
     if (entry->uncertain && flash_ppa == entry->ppa) {
       // Appendix C.3.1: the restored entry was in fact clean; fix the
       // flags and omit it from the synchronization.
-      entry->dirty = false;
+      cache_.MarkClean(entry);
       entry->uip = false;
       entry->uncertain = false;
-      cache_.NoteCleaned();
       continue;
     }
 
@@ -692,10 +693,9 @@ void BaseFtl::SyncTranslationPage(TPageId tpage) {
     }
 
     mappings[lpn % translation_.entries_per_page()] = entry->ppa;
-    entry->dirty = false;
+    cache_.MarkClean(entry);
     entry->uip = false;
     entry->uncertain = false;
-    cache_.NoteCleaned();
     any_changed = true;
   }
 

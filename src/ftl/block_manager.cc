@@ -12,7 +12,8 @@ BlockManager::BlockManager(FlashDevice* device, bool auto_erase_metadata)
       block_type_(device->geometry().num_blocks, PageType::kFree),
       block_temp_(device->geometry().num_blocks, 0),
       meta_live_(device->geometry().num_blocks, 0),
-      free_pool_(stripe_) {
+      free_pool_(stripe_),
+      active_slots_(device->geometry().num_blocks, 0) {
   for (BlockId b = 0; b < device->geometry().num_blocks; ++b) {
     PushFreeBlock(b);  // refuses factory-bad blocks
   }
@@ -42,6 +43,12 @@ std::vector<PhysicalAddress>& BlockManager::ActivesFor(PageType type) {
   GECKO_CHECK(type != PageType::kFree)
       << "no active block for type " << PageTypeName(type);
   return actives_[static_cast<int>(type)];
+}
+
+void BlockManager::SetActiveSlot(PhysicalAddress* slot, PhysicalAddress addr) {
+  if (slot->IsValid()) --active_slots_[slot->block];
+  if (addr.IsValid()) ++active_slots_[addr.block];
+  *slot = addr;
 }
 
 void BlockManager::PushFreeBlock(BlockId block) {
@@ -108,7 +115,7 @@ PhysicalAddress BlockManager::AllocatePage(PageType type, uint32_t stream,
 #endif
     block_type_[block] = type;
     block_temp_[block] = temp;
-    *active = PhysicalAddress{block, 0};
+    SetActiveSlot(active, PhysicalAddress{block, 0});
     // A metadata block can become fully invalid while it is still the
     // active append target (stream-affine placement makes this common: a
     // block's own later pages supersede its earlier ones). The erase
@@ -150,7 +157,9 @@ void BlockManager::OnProgramFailed(PhysicalAddress addr) {
   // fully-invalid-metadata policy) reclaims the block.
   for (auto& actives : actives_) {
     for (PhysicalAddress& a : actives) {
-      if (a.IsValid() && a.block == addr.block) a = kNullAddress;
+      if (a.IsValid() && a.block == addr.block) {
+        SetActiveSlot(&a, kNullAddress);
+      }
     }
   }
   // Vacating the slot skips the usual retire-time re-check; a fully
@@ -202,15 +211,6 @@ bool BlockManager::EraseOrRetire(BlockId block, IoPurpose purpose) {
   return true;
 }
 
-bool BlockManager::IsActive(BlockId block) const {
-  for (const auto& actives : actives_) {
-    for (const PhysicalAddress& a : actives) {
-      if (a.IsValid() && a.block == block) return true;
-    }
-  }
-  return false;
-}
-
 void BlockManager::Pin(BlockId block, uint64_t seq) {
   auto it = pinned_.find(block);
   if (it == pinned_.end() || it->second < seq) pinned_[block] = seq;
@@ -255,6 +255,7 @@ void BlockManager::ResetRamState() {
   for (auto& actives : actives_) {
     std::fill(actives.begin(), actives.end(), kNullAddress);
   }
+  std::fill(active_slots_.begin(), active_slots_.end(), uint8_t{0});
   next_slot_.fill(0);
   std::fill(user_next_slot_.begin(), user_next_slot_.end(), 0u);
   pinned_.clear();
@@ -316,8 +317,8 @@ void BlockManager::RecoverFromBid(const std::vector<BidEntry>& bid) {
     for (uint32_t slot = 0; slot < partials.size(); ++slot) {
       const Partial& p = partials[slot];
       if (p.block != kInvalidU32) {
-        actives[slot] =
-            PhysicalAddress{p.block, device_->PagesWritten(p.block)};
+        SetActiveSlot(&actives[slot],
+                      PhysicalAddress{p.block, device_->PagesWritten(p.block)});
       }
     }
   }

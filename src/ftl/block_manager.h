@@ -75,7 +75,7 @@ class BlockManager : public PageAllocator {
 
   PageType BlockType(BlockId block) const { return block_type_[block]; }
   /// Whether `block` is any group's active append block (any stripe slot).
-  bool IsActive(BlockId block) const;
+  bool IsActive(BlockId block) const { return active_slots_[block] != 0; }
   bool IsPinned(BlockId block) const { return pinned_.count(block) > 0; }
   uint32_t NumFreeBlocks() const { return free_pool_.size(); }
   /// Smallest the free pool has ever been right after a block was taken.
@@ -151,6 +151,9 @@ class BlockManager : public PageAllocator {
 
  private:
   std::vector<PhysicalAddress>& ActivesFor(PageType type);
+  /// Points an active slot at `addr` (kNullAddress vacates it), keeping
+  /// active_slots_ in step. Every slot change goes through here.
+  void SetActiveSlot(PhysicalAddress* slot, PhysicalAddress addr);
   bool IsActiveAnywhere() const;
   void PushFreeBlock(BlockId block);
   void MaybeEraseMetadataBlock(BlockId block);
@@ -172,6 +175,8 @@ class BlockManager : public PageAllocator {
   /// Active append blocks, one vector of `stripe_` slots per group
   /// (temp_classes_ * stripe_ for the user group).
   std::array<std::vector<PhysicalAddress>, 4> actives_;
+  /// Per block: how many active slots hold it (IsActive in O(1)).
+  std::vector<uint8_t> active_slots_;
   /// Round-robin cursor per metadata group (the user group keeps one
   /// cursor per temperature class below).
   std::array<uint32_t, 4> next_slot_{};

@@ -10,27 +10,36 @@
 //               flags are assumed-true until a synchronization operation
 //               verifies them (Appendix C.3).
 //
-// The cache is a tree (std::map) so synchronization operations can range-
-// scan all entries belonging to one translation page (footnote 6). An
-// intrusive LRU list orders entries by recency and can carry checkpoint
-// symbols (Section 4.3): dummy nodes marking where a checkpoint happened.
+// Lookups, inserts, erases, dirtying, cleaning and the oldest-dirty query
+// are O(1) host work. Entries live in a fixed slab of `capacity` nodes
+// (entry pointers stay valid until the entry is erased), found through an
+// open-addressed lpn index. Three intrusive lists thread the slab:
+//   LRU       — every entry, least- to most-recently used;
+//   dirty     — the dirty entries in the same LRU order, so the oldest
+//               dirty entry (the dirty-cap sync target) is its head;
+//   per-page  — the dirty entries of each translation page, so one
+//               synchronization operation visits only its own entries
+//               (footnote 6's range scan, without an ordered tree).
+// The paper's checkpoint symbols (Section 4.3) are replaced by per-entry
+// dirtying epochs; see TakeCheckpoint.
 
 #ifndef GECKOFTL_FTL_MAPPING_CACHE_H_
 #define GECKOFTL_FTL_MAPPING_CACHE_H_
 
 #include <cstdint>
 #include <functional>
-#include <list>
-#include <map>
 #include <utility>
 #include <vector>
 
 #include "flash/types.h"
 #include "util/check.h"
+#include "util/flat_hash_index.h"
 
 namespace gecko {
 
-/// One cached mapping entry.
+/// One cached mapping entry. The `dirty` flag is owned by the cache: set
+/// it through MappingCache::MarkDirty and clear it through MarkClean, which
+/// keep the dirty lists in step.
 struct MappingEntry {
   PhysicalAddress ppa;
   bool dirty = false;
@@ -44,9 +53,9 @@ struct MappingEntry {
 
 class MappingCache {
  public:
-  explicit MappingCache(uint32_t capacity) : capacity_(capacity) {
-    GECKO_CHECK_GT(capacity, 0u);
-  }
+  /// `lpns_per_tpage` is the number of mapping entries per translation
+  /// page: entries of lpns [k * n, (k+1) * n) share one per-page dirty list.
+  explicit MappingCache(uint32_t capacity, uint32_t lpns_per_tpage = 1);
 
   /// Looks up `lpn` and refreshes its recency. Returns nullptr on miss.
   MappingEntry* Find(Lpn lpn);
@@ -70,7 +79,7 @@ class MappingCache {
   /// caller must still have made room first when the lpn is absent.
   MappingEntry* InsertIfAbsent(Lpn lpn, const MappingEntry& entry);
 
-  bool NeedsEviction() const { return entries_.size() >= capacity_; }
+  bool NeedsEviction() const { return size() >= capacity_; }
 
   /// Returns the least-recently-used lpn without removing it.
   Lpn PeekLru() const;
@@ -97,13 +106,18 @@ class MappingCache {
   /// Removes `lpn` from the cache.
   void Erase(Lpn lpn);
 
-  /// Dirty entries whose lpn lies in [lo, hi] — the entries one
-  /// synchronization operation flushes together.
+  /// Dirty entries whose lpn lies in [lo, hi], ascending — the entries one
+  /// synchronization operation flushes together. Visits each translation
+  /// page the range covers and only the dirty entries on it.
   std::vector<Lpn> DirtyInRange(Lpn lo, Lpn hi) const;
 
   /// Oldest dirty entry in LRU order (for the dirty-entry cap of LazyFTL
   /// and IB-FTL). Returns false if there are no dirty entries.
-  bool OldestDirty(Lpn* out) const;
+  bool OldestDirty(Lpn* out) const {
+    if (dirty_.head == kNil) return false;
+    *out = nodes_[dirty_.head].lpn;
+    return true;
+  }
 
   /// Takes a checkpoint (Section 4.3): returns the dirty lpns whose last
   /// *update* predates the previous checkpoint, which the caller must
@@ -116,18 +130,18 @@ class MappingCache {
   /// entry would stay in front of the symbol forever and never be
   /// synchronized, breaking the 2-checkpoint recovery-scan bound
   /// (DESIGN.md §3). Tracking the dirtying epoch per entry restores the
-  /// guarantee with the same O(C)-per-checkpoint cost.
+  /// guarantee; the walk covers the dirty list only. Returns ascending
+  /// lpns.
   std::vector<Lpn> TakeCheckpoint();
 
   /// Marks an entry dirty, stamping the current checkpoint epoch. All
-  /// dirtying must go through here (or Insert with dirty=true).
-  void MarkDirty(MappingEntry* entry) {
-    if (!entry->dirty) {
-      entry->dirty = true;
-      ++dirty_count_;
-    }
-    entry->dirty_epoch = epoch_;
-  }
+  /// dirtying must go through here (or Insert with dirty=true). The entry
+  /// must be the MRU entry (callers Find it first), which is what keeps
+  /// the dirty list in LRU order: a newly dirty entry joins its tail.
+  void MarkDirty(MappingEntry* entry);
+
+  /// Clears an entry's dirty flag (a synchronization wrote it back).
+  void MarkClean(MappingEntry* entry);
 
   uint64_t epoch() const { return epoch_; }
 
@@ -140,16 +154,9 @@ class MappingCache {
   /// scan's coverage.
   void AdvanceEpoch() { ++epoch_; }
 
-  uint32_t size() const { return static_cast<uint32_t>(entries_.size()); }
+  uint32_t size() const { return index_.size(); }
   uint32_t capacity() const { return capacity_; }
   uint32_t dirty_count() const { return dirty_count_; }
-
-  /// Bumps down the dirty counter; callers invoke this when clearing an
-  /// entry's dirty flag (dirtying goes through MarkDirty).
-  void NoteCleaned() {
-    GECKO_CHECK_GT(dirty_count_, 0u);
-    --dirty_count_;
-  }
 
   /// Drops everything (power failure).
   void Reset();
@@ -159,18 +166,43 @@ class MappingCache {
   std::vector<Lpn> LruToMruOrder() const;
 
  private:
-  using LruList = std::list<Lpn>;
+  static constexpr uint32_t kNil = FlatHashIndex::kAbsent;  // "no slot"
 
+  struct Link {
+    uint32_t prev = kNil;
+    uint32_t next = kNil;
+  };
+  struct List {
+    uint32_t head = kNil;
+    uint32_t tail = kNil;
+  };
   struct Node {
-    MappingEntry entry;
-    LruList::iterator lru_it;
+    MappingEntry entry;  // first member: SlotOf maps an entry back
+    Lpn lpn = 0;
+    Link lru;    // LRU list; the free list reuses lru.next
+    Link dirty;  // dirty list (LRU order), dirty entries only
+    Link page;   // per-translation-page dirty list, dirty entries only
   };
 
-  void Touch(std::map<Lpn, Node>::iterator it);
+  uint32_t SlotOf(const MappingEntry* entry) const;
+  void PushBack(List* list, Link Node::*link, uint32_t slot);
+  void Unlink(List* list, Link Node::*link, uint32_t slot);
+  void LinkDirty(uint32_t slot);
+  void UnlinkDirty(uint32_t slot);
+  /// Moves `slot` to the MRU end (and to the dirty tail if dirty).
+  void Touch(uint32_t slot);
 
   uint32_t capacity_;
-  std::map<Lpn, Node> entries_;
-  LruList lru_;  // front = LRU, back = MRU
+  uint32_t lpns_per_tpage_;
+  /// Slab; reserved to `capacity_` so entry pointers never move.
+  std::vector<Node> nodes_;
+  uint32_t free_ = kNil;  // head of the free-slot list
+  FlatHashIndex index_;       // lpn -> slot
+  /// Translation page -> head slot of its dirty list; grows with the
+  /// number of pages holding dirty entries.
+  FlatHashIndex page_heads_;
+  List lru_;              // head = LRU, tail = MRU
+  List dirty_;            // head = oldest dirty in LRU order
   uint32_t dirty_count_ = 0;
   uint64_t epoch_ = 1;
   EvictionScorer scorer_;    // unset = pure LRU eviction

@@ -21,6 +21,11 @@ std::vector<PhysicalAddress> TranslationTable::ReadTPage(TPageId t,
   return ReadVersion(gmd_[t], purpose);
 }
 
+void TranslationTable::ChargeTPageRead(TPageId t, IoPurpose purpose) {
+  GECKO_CHECK_LT(t, num_tpages_);
+  if (gmd_[t].IsValid()) ReadVersion(gmd_[t], purpose);
+}
+
 PhysicalAddress TranslationTable::Lookup(Lpn lpn, IoPurpose purpose) {
   TPageId t = TPageOf(lpn);
   if (!gmd_[t].IsValid()) return kNullAddress;

@@ -47,6 +47,10 @@ class TranslationTable {
   /// all-kNullAddress array without performing any IO.
   std::vector<PhysicalAddress> ReadTPage(TPageId t, IoPurpose purpose);
 
+  /// Charges the flash read of translation page `t` exactly like ReadTPage
+  /// (none if the page was never written) without copying its mappings.
+  void ChargeTPageRead(TPageId t, IoPurpose purpose);
+
   /// Single-entry lookup: one charged page read (or none if the
   /// translation page does not exist). Returns kNullAddress if unmapped.
   PhysicalAddress Lookup(Lpn lpn, IoPurpose purpose);

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <map>
+
 #include "tests/ftl/ftl_test_util.h"
+#include "util/random.h"
 
 namespace gecko {
 namespace {
@@ -58,8 +63,7 @@ TEST(MappingCacheTest, DirtyCountTracksFlags) {
   EXPECT_EQ(cache.dirty_count(), 2u);
   cache.MarkDirty(e);  // idempotent
   EXPECT_EQ(cache.dirty_count(), 2u);
-  e->dirty = false;
-  cache.NoteCleaned();
+  cache.MarkClean(e);
   EXPECT_EQ(cache.dirty_count(), 1u);
   cache.Erase(1);  // erasing a dirty entry decrements
   EXPECT_EQ(cache.dirty_count(), 0u);
@@ -315,6 +319,300 @@ TEST(MappingCacheDeathTest, InsertBeyondCapacityAborts) {
   MappingCache cache(1);
   cache.Insert(1, E(1));
   EXPECT_DEATH(cache.Insert(2, E(2)), "eviction");
+}
+
+// ---------------------------------------------------------------------------
+// Differential test against the tree-based cache the flat one replaced: a
+// std::map of entries plus a std::list in LRU order, every query a walk.
+// Both caches see the same seeded operation sequence; every return value
+// and the full LRU order must agree after every step.
+// ---------------------------------------------------------------------------
+
+class ReferenceCache {
+ public:
+  explicit ReferenceCache(uint32_t capacity) : capacity_(capacity) {}
+
+  MappingEntry* Find(Lpn lpn) {
+    auto it = entries_.find(lpn);
+    if (it == entries_.end()) return nullptr;
+    lru_.splice(lru_.end(), lru_, it->second.lru_it);
+    return &it->second.entry;
+  }
+  const MappingEntry* Peek(Lpn lpn) const {
+    auto it = entries_.find(lpn);
+    return it == entries_.end() ? nullptr : &it->second.entry;
+  }
+  MappingEntry* Insert(Lpn lpn, const MappingEntry& entry) {
+    lru_.push_back(lpn);
+    Node& node = entries_[lpn];
+    node = Node{entry, std::prev(lru_.end())};
+    if (entry.dirty) {
+      ++dirty_count_;
+      node.entry.dirty_epoch = epoch_;
+    }
+    return &node.entry;
+  }
+  MappingEntry* InsertIfAbsent(Lpn lpn, const MappingEntry& entry) {
+    auto it = entries_.find(lpn);
+    if (it != entries_.end()) return &it->second.entry;
+    return Insert(lpn, entry);
+  }
+  bool NeedsEviction() const { return entries_.size() >= capacity_; }
+  void SetEvictionPolicy(MappingCache::EvictionScorer scorer,
+                         uint32_t depth) {
+    scorer_ = std::move(scorer);
+    scan_depth_ = depth;
+  }
+  Lpn PeekEvictionVictim() const {
+    if (!scorer_ || scan_depth_ <= 1 || lru_.size() < 2) return lru_.front();
+    uint64_t limit = std::min<uint64_t>(scan_depth_, lru_.size() - 1);
+    Lpn victim = lru_.front();
+    uint64_t best = scorer_(victim);
+    auto it = lru_.begin();
+    for (uint64_t i = 1; i < limit; ++i) {
+      ++it;
+      if (scorer_(*it) < best) {
+        best = scorer_(*it);
+        victim = *it;
+      }
+    }
+    return victim;
+  }
+  void Erase(Lpn lpn) {
+    auto it = entries_.find(lpn);
+    if (it->second.entry.dirty) --dirty_count_;
+    lru_.erase(it->second.lru_it);
+    entries_.erase(it);
+  }
+  std::vector<Lpn> DirtyInRange(Lpn lo, Lpn hi) const {
+    std::vector<Lpn> out;
+    for (auto it = entries_.lower_bound(lo);
+         it != entries_.end() && it->first <= hi; ++it) {
+      if (it->second.entry.dirty) out.push_back(it->first);
+    }
+    return out;
+  }
+  bool OldestDirty(Lpn* out) const {
+    for (Lpn lpn : lru_) {
+      if (entries_.at(lpn).entry.dirty) {
+        *out = lpn;
+        return true;
+      }
+    }
+    return false;
+  }
+  std::vector<Lpn> TakeCheckpoint() {
+    std::vector<Lpn> stale;
+    for (const auto& [lpn, node] : entries_) {
+      if (node.entry.dirty && node.entry.dirty_epoch < epoch_) {
+        stale.push_back(lpn);
+      }
+    }
+    ++epoch_;
+    return stale;
+  }
+  void MarkDirty(MappingEntry* entry) {
+    if (!entry->dirty) {
+      entry->dirty = true;
+      ++dirty_count_;
+    }
+    entry->dirty_epoch = epoch_;
+  }
+  void MarkClean(MappingEntry* entry) {
+    entry->dirty = false;
+    --dirty_count_;
+  }
+  void AdvanceEpoch() { ++epoch_; }
+  void Reset() {
+    entries_.clear();
+    lru_.clear();
+    dirty_count_ = 0;
+    epoch_ = 1;
+  }
+  uint32_t size() const { return static_cast<uint32_t>(entries_.size()); }
+  uint32_t dirty_count() const { return dirty_count_; }
+  uint64_t epoch() const { return epoch_; }
+  std::vector<Lpn> LruToMruOrder() const {
+    return std::vector<Lpn>(lru_.begin(), lru_.end());
+  }
+
+ private:
+  struct Node {
+    MappingEntry entry;
+    std::list<Lpn>::iterator lru_it;
+  };
+  uint32_t capacity_;
+  std::map<Lpn, Node> entries_;
+  std::list<Lpn> lru_;
+  uint32_t dirty_count_ = 0;
+  uint64_t epoch_ = 1;
+  MappingCache::EvictionScorer scorer_;
+  uint32_t scan_depth_ = 1;
+};
+
+void ExpectSameEntry(const MappingEntry* got, const MappingEntry* want) {
+  ASSERT_EQ(got == nullptr, want == nullptr);
+  if (got == nullptr) return;
+  EXPECT_EQ(got->ppa, want->ppa);
+  EXPECT_EQ(got->dirty, want->dirty);
+  EXPECT_EQ(got->uip, want->uip);
+  EXPECT_EQ(got->uncertain, want->uncertain);
+  EXPECT_EQ(got->dirty_epoch, want->dirty_epoch);
+}
+
+struct DiffParam {
+  uint32_t capacity;
+  uint32_t lpns_per_tpage;
+  bool scorer;
+};
+
+class MappingCacheDifferentialTest
+    : public ::testing::TestWithParam<DiffParam> {};
+
+TEST_P(MappingCacheDifferentialTest, MatchesTreeCacheOnRandomSequences) {
+  const DiffParam param = GetParam();
+  const uint64_t seed = FuzzSeed(20261017);
+  GECKO_TRACE_FUZZ_SEED(seed);
+  for (uint64_t round = 0; round < 4; ++round) {
+    Rng rng(seed + round);
+    MappingCache cache(param.capacity, param.lpns_per_tpage);
+    ReferenceCache ref(param.capacity);
+    if (param.scorer) {
+      // A deterministic hotness stand-in with many ties.
+      auto scorer = [](Lpn lpn) { return (lpn * 2654435761u) % 7; };
+      cache.SetEvictionPolicy(scorer, 5);
+      ref.SetEvictionPolicy(scorer, 5);
+    }
+    const uint64_t universe = uint64_t{param.capacity} * 4;
+    for (int step = 0; step < 6000; ++step) {
+      SCOPED_TRACE(::testing::Message() << "round " << round << " step "
+                                        << step);
+      const Lpn lpn = rng.Uniform(universe);
+      const uint64_t op = rng.Uniform(100);
+      if (op < 25) {  // read hit or miss fill
+        MappingEntry* got = cache.Find(lpn);
+        MappingEntry* want = ref.Find(lpn);
+        ExpectSameEntry(got, want);
+      } else if (op < 32) {
+        ExpectSameEntry(cache.Peek(lpn), ref.Peek(lpn));
+        EXPECT_EQ(cache.Contains(lpn), ref.Peek(lpn) != nullptr);
+      } else if (op < 50) {  // write: Find + MarkDirty, or insert dirty
+        MappingEntry* got = cache.Find(lpn);
+        MappingEntry* want = ref.Find(lpn);
+        ASSERT_EQ(got == nullptr, want == nullptr);
+        const PhysicalAddress ppa{static_cast<BlockId>(step), 1};
+        if (got != nullptr) {
+          cache.MarkDirty(got);
+          ref.MarkDirty(want);
+          got->ppa = want->ppa = ppa;
+        } else {
+          while (cache.NeedsEviction()) {
+            ASSERT_TRUE(ref.NeedsEviction());
+            const Lpn victim = cache.PeekEvictionVictim();
+            ASSERT_EQ(victim, ref.PeekEvictionVictim());
+            cache.Erase(victim);
+            ref.Erase(victim);
+          }
+          ASSERT_FALSE(ref.NeedsEviction());
+          const bool dirty = rng.Bernoulli(0.8);
+          const bool uip = rng.Bernoulli(0.5);
+          MappingEntry fresh{ppa, dirty, uip, /*uncertain=*/false};
+          MappingEntry* a = cache.Insert(lpn, fresh);
+          MappingEntry* b = ref.Insert(lpn, fresh);
+          if (!dirty) {  // a miss fill the write then dirties
+            cache.MarkDirty(a);
+            ref.MarkDirty(b);
+          }
+        }
+      } else if (op < 56) {  // replayed miss fill
+        if (cache.Peek(lpn) == nullptr) {
+          while (cache.NeedsEviction()) {
+            const Lpn victim = cache.PeekEvictionVictim();
+            ASSERT_EQ(victim, ref.PeekEvictionVictim());
+            cache.Erase(victim);
+            ref.Erase(victim);
+          }
+        }
+        const MappingEntry fill{PhysicalAddress{7, 7}, false, false, false};
+        ExpectSameEntry(cache.InsertIfAbsent(lpn, fill),
+                        ref.InsertIfAbsent(lpn, fill));
+      } else if (op < 62) {
+        if (ref.Peek(lpn) != nullptr) {
+          cache.Erase(lpn);
+          ref.Erase(lpn);
+        }
+      } else if (op < 72) {  // dirty-cap sync: clean the oldest dirty
+        Lpn got = 0, want = 0;
+        const bool any = cache.OldestDirty(&got);
+        ASSERT_EQ(any, ref.OldestDirty(&want));
+        if (any) {
+          ASSERT_EQ(got, want);
+          cache.MarkClean(cache.Find(got));
+          ref.MarkClean(ref.Find(want));
+        }
+      } else if (op < 82) {  // a synchronization of lpn's translation page
+        const Lpn first = lpn / param.lpns_per_tpage * param.lpns_per_tpage;
+        const Lpn last = first + param.lpns_per_tpage - 1;
+        std::vector<Lpn> dirty = cache.DirtyInRange(first, last);
+        ASSERT_EQ(dirty, ref.DirtyInRange(first, last));
+        for (Lpn d : dirty) {  // Find per lpn, ascending, like the FTL
+          MappingEntry* a = cache.Find(d);
+          MappingEntry* b = ref.Find(d);
+          ASSERT_NE(a, nullptr);
+          a->uip = b->uip = false;
+          cache.MarkClean(a);
+          ref.MarkClean(b);
+        }
+      } else if (op < 86) {  // an arbitrary range
+        const Lpn lo = rng.Uniform(universe);
+        const Lpn hi = lo + rng.Uniform(universe);
+        EXPECT_EQ(cache.DirtyInRange(lo, hi), ref.DirtyInRange(lo, hi));
+      } else if (op < 92) {
+        EXPECT_EQ(cache.TakeCheckpoint(), ref.TakeCheckpoint());
+      } else if (op < 94) {
+        cache.AdvanceEpoch();
+        ref.AdvanceEpoch();
+      } else if (op < 99) {
+        if (ref.size() > 0) {
+          EXPECT_EQ(cache.PeekEvictionVictim(), ref.PeekEvictionVictim());
+          EXPECT_EQ(cache.PeekLru(), ref.LruToMruOrder().front());
+        }
+      } else if (rng.Bernoulli(0.1)) {
+        cache.Reset();
+        ref.Reset();
+      }
+      ASSERT_EQ(cache.LruToMruOrder(), ref.LruToMruOrder());
+      ASSERT_EQ(cache.size(), ref.size());
+      ASSERT_EQ(cache.dirty_count(), ref.dirty_count());
+      ASSERT_EQ(cache.epoch(), ref.epoch());
+      ASSERT_EQ(cache.NeedsEviction(), ref.NeedsEviction());
+      if (step % 64 == 0) {
+        for (Lpn l : ref.LruToMruOrder()) {
+          ExpectSameEntry(cache.Peek(l), ref.Peek(l));
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, MappingCacheDifferentialTest,
+    ::testing::Values(DiffParam{1, 1, false}, DiffParam{16, 1, false},
+                      DiffParam{16, 8, true}, DiffParam{64, 16, false},
+                      DiffParam{64, 16, true}, DiffParam{200, 128, true}),
+    [](const ::testing::TestParamInfo<DiffParam>& info) {
+      return "C" + std::to_string(info.param.capacity) + "_G" +
+             std::to_string(info.param.lpns_per_tpage) +
+             (info.param.scorer ? "_scored" : "_lru");
+    });
+
+TEST(MappingCacheDeathTest, MarkDirtyOnNonMruEntryAborts) {
+  // The dirty list stays in LRU order only because a newly dirtied entry
+  // is the MRU entry; dirtying any other entry is a caller bug.
+  MappingCache cache(4);
+  MappingEntry* old = cache.Insert(1, E(1));
+  cache.Insert(2, E(2));
+  EXPECT_DEATH(cache.MarkDirty(old), "not the MRU entry");
 }
 
 }  // namespace
