@@ -4,7 +4,7 @@
 // or table and prints a qualitative "paper vs measured" check. Absolute
 // numbers come from scaled-down simulations (the shapes are what must
 // hold); RAM/recovery figures are evaluated from the analytic models at
-// paper scale, as in the paper itself. See DESIGN.md §5.
+// paper scale, as in the paper itself. See docs/DESIGN.md §5.
 
 #ifndef GECKOFTL_BENCH_BENCH_UTIL_H_
 #define GECKOFTL_BENCH_BENCH_UTIL_H_

@@ -54,7 +54,7 @@ void LogGecko::RecordInvalidPage(PhysicalAddress addr) {
 void LogGecko::RecordErase(BlockId block) {
   GECKO_CHECK_LT(block, geometry_.num_blocks);
   ++stats_.erases;
-  // Algorithm 2, with replace semantics (DESIGN.md deviation 1): bits
+  // Algorithm 2, with replace semantics (docs/DESIGN.md deviation 1): bits
   // buffered before the erase describe pre-erase page states and must not
   // survive it.
   for (uint32_t sub = 0; sub < config_.partition_factor; ++sub) {
@@ -261,8 +261,8 @@ std::vector<GeckoEntry> LogGecko::MergeEntries(
     }
     if (is_bottom) {
       // No older runs remain below this output: erase flags have nothing
-      // left to mask and empty entries carry no information (DESIGN.md
-      // deviation 4).
+      // left to mask and empty entries carry no information
+      // (docs/DESIGN.md deviation 4).
       merged.erase_flag = false;
       if (merged.bits.None()) continue;
     }
@@ -363,7 +363,7 @@ LogGeckoRecoveryInfo LogGecko::Recover(
   }
 
   // The newest complete run's preamble snapshot defines the live set
-  // (DESIGN.md §6.2). Incomplete runs (crash mid-write) are ignored.
+  // (docs/DESIGN.md §6.2). Incomplete runs (crash mid-write) are ignored.
   // Ordering uses the logical creation sequence stored in the preamble
   // payload — the spare-area write sequence can be newer if a greedy GC
   // configuration relocated the preamble page — so each candidate's

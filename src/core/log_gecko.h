@@ -71,7 +71,7 @@ class LogGecko {
 
   /// Records that `block` was erased: all pre-erase entries for it become
   /// obsolete. Inserts erase-flagged (sub-)entries, *replacing* any bits
-  /// already buffered for the block (see DESIGN.md deviation 1).
+  /// already buffered for the block (see docs/DESIGN.md deviation 1).
   void RecordErase(BlockId block);
 
   // --- GC queries (Section 3.1) ----------------------------------------

@@ -56,7 +56,7 @@ struct RunImage {
   PhysicalAddress postamble;
   /// Run ids live at the moment this run committed (including this run).
   /// The newest complete run's snapshot defines the whole structure during
-  /// recovery; see DESIGN.md §6.2.
+  /// recovery; see docs/DESIGN.md §6.2.
   std::vector<RunId> live_snapshot;
   /// Device sequence up to which buffered invalidations are covered by this
   /// run's content: the creation seq for flush-produced runs, the max of

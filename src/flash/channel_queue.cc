@@ -6,20 +6,13 @@
 
 namespace gecko {
 
-const char* FlashOpKindName(FlashOpKind k) {
-  switch (k) {
-    case FlashOpKind::kPageWrite: return "page-write";
-    case FlashOpKind::kPageRead: return "page-read";
-    case FlashOpKind::kSpareRead: return "spare-read";
-    case FlashOpKind::kErase: return "erase";
-  }
-  return "?";
+ChannelArray::ChannelArray(uint32_t num_channels, LatencyModel latency,
+                           IoStats* stats)
+    : latency_(latency), stats_(stats), channels_(num_channels) {
+  GECKO_CHECK_GE(num_channels, 1u);
 }
 
-ChannelQueue::ChannelQueue(ChannelId id, LatencyModel latency)
-    : id_(id), latency_(latency) {}
-
-double ChannelQueue::LatencyFor(FlashOpKind kind) const {
+double ChannelArray::LatencyFor(FlashOpKind kind) const {
   switch (kind) {
     case FlashOpKind::kPageWrite: return latency_.page_write_us;
     case FlashOpKind::kPageRead: return latency_.page_read_us;
@@ -29,134 +22,42 @@ double ChannelQueue::LatencyFor(FlashOpKind kind) const {
   return 0;
 }
 
-FlashSubmission ChannelQueue::Stamp(uint64_t id, FlashOpKind kind,
-                                    PhysicalAddress addr, IoPurpose purpose,
-                                    double now_us) {
-  FlashSubmission sub;
-  sub.id = id;
-  sub.channel = id_;
-  sub.kind = kind;
-  sub.addr = addr;
-  sub.purpose = purpose;
-  sub.submit_us = now_us;
-  sub.start_us = std::max(now_us, busy_until_us_);
-  // Idle accounting: the gap between the channel going quiet and this op
-  // arriving is time the channel had nothing to do.
-  if (sub.start_us > busy_until_us_) idle_us_ += sub.start_us - busy_until_us_;
-  sub.complete_us = sub.start_us + LatencyFor(kind);
-  busy_until_us_ = sub.complete_us;
-  return sub;
-}
-
-const FlashSubmission& ChannelQueue::Submit(uint64_t id, FlashOpKind kind,
-                                            PhysicalAddress addr,
-                                            IoPurpose purpose, double now_us,
-                                            FlashCompletion on_complete) {
-  Pending p;
-  p.submission = Stamp(id, kind, addr, purpose, now_us);
-  p.on_complete = std::move(on_complete);
-  pending_.push_back(std::move(p));
-  return pending_.back().submission;
-}
-
-void ChannelQueue::TakePending(std::vector<Pending>* out) {
-  for (Pending& p : pending_) out->push_back(std::move(p));
-  pending_.clear();
-}
-
-void ChannelQueue::TakeCompletedUntil(double until_us,
-                                      std::vector<Pending>* out) {
-  while (!pending_.empty() &&
-         pending_.front().submission.complete_us <= until_us) {
-    out->push_back(std::move(pending_.front()));
-    pending_.pop_front();
-  }
-}
-
-ChannelArray::ChannelArray(uint32_t num_channels, LatencyModel latency) {
-  GECKO_CHECK_GE(num_channels, 1u);
-  channels_.reserve(num_channels);
-  for (ChannelId c = 0; c < num_channels; ++c) {
-    channels_.emplace_back(c, latency);
-  }
-}
-
-const FlashSubmission& ChannelArray::Submit(ChannelId c, FlashOpKind kind,
-                                            PhysicalAddress addr,
-                                            IoPurpose purpose,
-                                            FlashCompletion on_complete) {
+double ChannelArray::Submit(ChannelId c, FlashOpKind kind) {
   GECKO_CHECK_LT(c, channels_.size());
-  const FlashSubmission& sub = channels_[c].Submit(
-      next_id_++, kind, addr, purpose, now_us_, std::move(on_complete));
-  uint32_t depth = static_cast<uint32_t>(channels_[c].depth());
-  if (depth > max_depth_since_drain_) max_depth_since_drain_ = depth;
-  return sub;
+  Channel& ch = channels_[c];
+  double start_us = std::max(now_us_, ch.busy_until_us);
+  ch.busy_until_us = start_us + LatencyFor(kind);
+  // Service time is kept as complete - start (not the raw latency) so
+  // channel busy time sums exactly the stamped timeline.
+  ch.inflight.push_back({ch.busy_until_us, ch.busy_until_us - start_us});
+  stats_->OnChannelSubmit(c);
+  return ch.busy_until_us;
 }
 
-FlashSubmission ChannelArray::SubmitImmediate(ChannelId c, FlashOpKind kind,
-                                              PhysicalAddress addr,
-                                              IoPurpose purpose) {
-  GECKO_CHECK_LT(c, channels_.size());
-  FlashSubmission sub = channels_[c].Stamp(next_id_++, kind, addr, purpose,
-                                           now_us_);
-  now_us_ = std::max(now_us_, sub.complete_us);
-  return sub;
-}
-
-namespace {
-// Retirement order: global completion time; ties (e.g. equal-latency ops
-// started together on different channels) break by submission id so the
-// order is deterministic.
-void SortByCompletion(std::vector<ChannelQueue::Pending>* pending) {
-  std::sort(pending->begin(), pending->end(),
-            [](const ChannelQueue::Pending& a, const ChannelQueue::Pending& b) {
-              if (a.submission.complete_us != b.submission.complete_us) {
-                return a.submission.complete_us < b.submission.complete_us;
-              }
-              return a.submission.id < b.submission.id;
-            });
-}
-}  // namespace
-
-ChannelArray::DrainResult ChannelArray::Drain(
-    std::vector<FlashSubmission>* completed) {
-  std::vector<ChannelQueue::Pending> pending;
-  for (ChannelQueue& ch : channels_) ch.TakePending(&pending);
-
-  DrainResult result;
-  result.max_queue_depth = max_depth_since_drain_;
-  max_depth_since_drain_ = 0;
-  if (pending.empty()) return result;
-
-  SortByCompletion(&pending);
-
+ChannelArray::DrainResult ChannelArray::Drain() {
+  // Each FIFO's back is its channel's last completion.
   double finish = now_us_;
-  for (ChannelQueue::Pending& p : pending) {
-    finish = std::max(finish, p.submission.complete_us);
-    if (p.on_complete) p.on_complete(p.submission);
-    if (completed != nullptr) completed->push_back(p.submission);
-    ++result.ops;
+  for (const Channel& ch : channels_) {
+    if (!ch.inflight.empty()) {
+      finish = std::max(finish, ch.inflight.back().complete_us);
+    }
   }
-  result.elapsed_us = finish - now_us_;
-  now_us_ = finish;
-  return result;
+  return AdvanceTo(finish);
 }
 
-ChannelArray::DrainResult ChannelArray::DrainUntil(
-    double until_us, std::vector<FlashSubmission>* completed) {
-  std::vector<ChannelQueue::Pending> due;
-  for (ChannelQueue& ch : channels_) ch.TakeCompletedUntil(until_us, &due);
-  SortByCompletion(&due);
-
+ChannelArray::DrainResult ChannelArray::AdvanceTo(double until_us) {
   DrainResult result;
-  result.max_queue_depth = max_depth_since_drain_;  // still accumulating
-  double finish = std::max(now_us_, until_us);
-  for (ChannelQueue::Pending& p : due) {
-    if (p.on_complete) p.on_complete(p.submission);
-    if (completed != nullptr) completed->push_back(p.submission);
-    ++result.ops;
+  for (ChannelId c = 0; c < channels_.size(); ++c) {
+    std::deque<InFlight>& fifo = channels_[c].inflight;
+    for (; !fifo.empty() && fifo.front().complete_us <= until_us;
+         fifo.pop_front()) {
+      stats_->OnChannelComplete(c, fifo.front().service_us);
+      ++result.ops;
+    }
   }
+  double finish = std::max(now_us_, until_us);
   result.elapsed_us = finish - now_us_;
+  stats_->AdvanceElapsed(result.elapsed_us);
   now_us_ = finish;
   return result;
 }

@@ -1,42 +1,40 @@
-// Channel-parallel submission/completion pipeline for the flash device.
+// Channel-parallel timing model for the flash device.
 //
 // Real very-large devices get their bandwidth from many independent
 // channels, not from faster cells (LFTL's parallel request queues; FMMU's
 // map-management pipeline). This module models that: every channel owns a
-// latency clock and an op queue; operations submitted to distinct channels
-// overlap in simulated time, while operations on one channel serialize in
-// submission order.
+// busy-until clock and a FIFO of in-flight ops; operations submitted to
+// distinct channels overlap in simulated time, while operations on one
+// channel serialize in submission order.
 //
-// The pipeline is a *timing* model layered over a functionally synchronous
+// The model is *timing only*, layered over a functionally synchronous
 // simulator: data effects (page programming, erases) are committed by
 // FlashDevice at submission, in program order, so FTL logic never observes
-// reordering; what the queues decide is when each op *completes* on the
+// reordering; what the channels decide is when each op *completes* on the
 // simulated clock. A batch of submissions therefore finishes in
 // max-per-channel time instead of sum-of-ops time, which is exactly the
 // speedup a channel-striped allocation policy buys.
 //
 // Lifecycle of one operation:
-//   1. Submit(): a FlashSubmission record is stamped with submit/start/
-//      complete times (start = max(device clock, channel busy-until)) and
-//      parked on its channel's queue, with an optional completion callback.
-//   2. Drain(): all parked submissions retire in global completion-time
-//      order, callbacks fire, and the device clock advances to the batch
-//      makespan end. FlashDevice drains after every op outside a batch
-//      window (serial semantics, identical to the pre-channel model) and
-//      once per window inside BeginBatch()/EndBatch().
+//   1. Submit(): the op is stamped (start = max(device clock, channel
+//      busy-until), complete = start + service latency), queued on its
+//      channel's FIFO, and its completion time returned to the caller.
+//   2. AdvanceTo()/Drain(): each channel pops its due prefix straight into
+//      IoStats (depth, busy time, op count) and the device clock moves.
+//      A channel's completion times are nondecreasing in FIFO order, so
+//      the due ops are always a prefix; no cross-channel ordering is
+//      needed because every retirement effect is per channel.
 
 #ifndef GECKOFTL_FLASH_CHANNEL_QUEUE_H_
 #define GECKOFTL_FLASH_CHANNEL_QUEUE_H_
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <vector>
 
-#include "flash/geometry.h"
-#include "flash/io_stats.h"  // IoPurpose
+#include "flash/geometry.h"  // ChannelId
+#include "flash/io_stats.h"
 #include "flash/latency.h"
-#include "flash/types.h"
 
 namespace gecko {
 
@@ -48,157 +46,61 @@ enum class FlashOpKind : uint8_t {
   kErase,
 };
 
-const char* FlashOpKindName(FlashOpKind k);
-
-/// Submission record of one in-flight flash operation: identity, target,
-/// and its simulated timeline. `start_us - submit_us` is queueing delay
-/// behind earlier ops on the same channel; `complete_us - start_us` is the
-/// op's service latency.
-struct FlashSubmission {
-  uint64_t id = 0;             // globally unique, in submission order
-  ChannelId channel = 0;
-  FlashOpKind kind = FlashOpKind::kPageRead;
-  PhysicalAddress addr = kNullAddress;  // {block, 0} for erases
-  IoPurpose purpose = IoPurpose::kOther;
-  double submit_us = 0;        // device clock when submitted
-  double start_us = 0;         // when the channel began servicing it
-  double complete_us = 0;      // when the channel finished it
-
-  /// Pure service time on the channel (excludes queueing delay).
-  double ServiceUs() const { return complete_us - start_us; }
-  /// End-to-end latency as the host sees it (includes queueing delay).
-  double LatencyUs() const { return complete_us - submit_us; }
-};
-
-/// Completion callback, fired at drain time in completion-time order.
-using FlashCompletion = std::function<void(const FlashSubmission&)>;
-
-/// One flash channel: a FIFO op queue in front of a busy-until latency
-/// clock. Not shared across devices.
-class ChannelQueue {
- public:
-  ChannelQueue(ChannelId id, LatencyModel latency);
-
-  /// Stamps one operation's timeline against the channel clock: start =
-  /// max(now_us, busy-until), complete = start + service latency, and
-  /// the channel stays busy until the completion. Does not park.
-  FlashSubmission Stamp(uint64_t id, FlashOpKind kind, PhysicalAddress addr,
-                        IoPurpose purpose, double now_us);
-
-  /// Stamps and parks one operation on the queue. Returns the stamped
-  /// submission record (stable until the next TakePending).
-  const FlashSubmission& Submit(uint64_t id, FlashOpKind kind,
-                                PhysicalAddress addr, IoPurpose purpose,
-                                double now_us, FlashCompletion on_complete);
-
-  /// Operations parked and not yet drained.
-  size_t depth() const { return pending_.size(); }
-
-  /// Simulated time at which the channel finishes its last accepted op.
-  double busy_until_us() const { return busy_until_us_; }
-
-  /// Total simulated time this channel has sat idle between ops: the sum,
-  /// over every stamped op, of the gap between the channel going quiet
-  /// and the op's submission. Experiments report it (ChannelReport) as
-  /// the headroom background collection can exploit; victim selection's
-  /// channel preference uses busy_until_us(), not this accumulator.
-  double idle_us() const { return idle_us_; }
-
-  /// Service latency of `kind` under this channel's latency model.
-  double LatencyFor(FlashOpKind kind) const;
-
-  struct Pending {
-    FlashSubmission submission;
-    FlashCompletion on_complete;  // may be empty
-  };
-
-  /// Moves every parked submission into `*out` (queue order) and empties
-  /// the queue. The caller (ChannelArray) merges channels and fires
-  /// callbacks in global completion order.
-  void TakePending(std::vector<Pending>* out);
-
-  /// Moves the parked submissions that complete at or before `until_us`
-  /// into `*out`, leaving later ones queued. Valid because the queue is
-  /// FIFO behind one busy-until clock: complete times are nondecreasing
-  /// in queue order, so the due prefix is exactly the front of the deque.
-  void TakeCompletedUntil(double until_us, std::vector<Pending>* out);
-
- private:
-  ChannelId id_;
-  LatencyModel latency_;
-  std::deque<Pending> pending_;
-  double busy_until_us_ = 0;
-  double idle_us_ = 0;
-};
-
 /// All channels of one device plus the device-wide simulated clock.
 class ChannelArray {
  public:
-  ChannelArray(uint32_t num_channels, LatencyModel latency);
+  /// `stats` receives every submission, retirement and clock advance; it
+  /// must outlive the array.
+  ChannelArray(uint32_t num_channels, LatencyModel latency, IoStats* stats);
 
-  uint32_t num_channels() const {
-    return static_cast<uint32_t>(channels_.size());
-  }
-  const ChannelQueue& channel(ChannelId c) const { return channels_[c]; }
-
-  /// Device-wide simulated clock; advances only at Drain().
+  /// Device-wide simulated clock; advances only at Drain()/AdvanceTo().
   double now_us() const { return now_us_; }
 
-  /// Submits one op on channel `c` at the current clock. Returns the
-  /// stamped record (valid until the next Drain()).
-  const FlashSubmission& Submit(ChannelId c, FlashOpKind kind,
-                                PhysicalAddress addr, IoPurpose purpose,
-                                FlashCompletion on_complete);
+  /// Stamps one op on channel `c` at the current clock, queues it, and
+  /// returns its completion time.
+  double Submit(ChannelId c, FlashOpKind kind);
 
-  /// Serial fast lane: stamps one op on channel `c` and completes it
-  /// immediately, advancing the clock to its completion — equivalent to
-  /// Submit + Drain of a single op, without parking or sorting. Only
-  /// valid while no submissions are parked.
-  FlashSubmission SubmitImmediate(ChannelId c, FlashOpKind kind,
-                                  PhysicalAddress addr, IoPurpose purpose);
-
-  /// Current queue depth of channel `c` (submitted, not yet drained).
-  size_t depth(ChannelId c) const { return channels_[c].depth(); }
+  /// Ops queued on channel `c` and not yet retired.
+  size_t depth(ChannelId c) const { return channels_[c].inflight.size(); }
 
   /// Simulated time at which channel `c` finishes its last accepted op.
   /// Between drains every channel's busy-until is at or below now_us();
   /// ordering across channels still identifies the longest-idle one —
   /// victim selection breaks score ties toward it (gc_victim_policy.h).
   double busy_until_us(ChannelId c) const {
-    return channels_[c].busy_until_us();
+    return channels_[c].busy_until_us;
   }
 
-  /// Highest queue depth any channel reached since the last Drain() —
-  /// the per-batch watermark reported in DrainResult. IoStats keeps the
-  /// separate *lifetime* watermark.
-  uint32_t max_depth_since_drain() const { return max_depth_since_drain_; }
-
   struct DrainResult {
-    double elapsed_us = 0;      // clock advance: the batch's makespan
-    uint64_t ops = 0;           // submissions retired
-    uint32_t max_queue_depth = 0;  // deepest any channel got this batch
+    double elapsed_us = 0;  // clock advance
+    uint64_t ops = 0;       // ops retired
   };
 
-  /// Retires every parked submission in global completion-time order,
-  /// firing callbacks, and advances the clock to the completion of the
-  /// last one. `completed`, if non-null, receives the retired records in
-  /// the same order. Draining an empty pipeline is a no-op.
-  DrainResult Drain(std::vector<FlashSubmission>* completed = nullptr);
+  /// Retires every queued op and advances the clock to max(now, last
+  /// completion). Draining an empty array is a no-op.
+  DrainResult Drain();
 
-  /// Partial drain for reactor-style hosts: retires only the submissions
-  /// that complete at or before `until_us` (global completion-time order)
-  /// and advances the clock to max(now, until_us) — never backwards, and
-  /// not past `until_us` even if later ops are still parked. Unlike
-  /// Drain(), the per-batch depth watermark is left accumulating: the
-  /// "batch" is still open from the pipeline's point of view.
-  DrainResult DrainUntil(double until_us,
-                         std::vector<FlashSubmission>* completed = nullptr);
+  /// Retires only the ops that complete at or before `until_us` and
+  /// advances the clock to max(now, until_us) — never backwards, and not
+  /// past `until_us` even if later ops are still queued.
+  DrainResult AdvanceTo(double until_us);
 
  private:
-  std::vector<ChannelQueue> channels_;
+  struct InFlight {
+    double complete_us;
+    double service_us;
+  };
+  struct Channel {
+    double busy_until_us = 0;
+    std::deque<InFlight> inflight;  // FIFO; complete_us nondecreasing
+  };
+
+  double LatencyFor(FlashOpKind kind) const;
+
+  LatencyModel latency_;
+  IoStats* stats_;
+  std::vector<Channel> channels_;
   double now_us_ = 0;
-  uint64_t next_id_ = 1;
-  uint32_t max_depth_since_drain_ = 0;
 };
 
 }  // namespace gecko

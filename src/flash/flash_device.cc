@@ -1,14 +1,12 @@
 #include "flash/flash_device.h"
 
-#include <utility>
-
 namespace gecko {
 
 FlashDevice::FlashDevice(const Geometry& geometry, LatencyModel latency,
                          FaultConfig faults)
     : geometry_(geometry),
       stats_(latency, geometry.num_channels),
-      channels_(geometry.num_channels, latency),
+      channels_(geometry.num_channels, latency, &stats_),
       faults_(faults),
       pages_(geometry.TotalPages()),
       blocks_(geometry.num_blocks) {
@@ -33,36 +31,11 @@ FlashDevice::BatchResult FlashDevice::EndBatch() {
   GECKO_CHECK_GT(batch_depth_, 0u) << "EndBatch without BeginBatch";
   --batch_depth_;
   if (batch_depth_ > 0) return BatchResult{};
-  return DrainChannels();
-}
-
-FlashDevice::BatchResult FlashDevice::DrainChannels() {
-  std::vector<FlashSubmission> completed;
-  ChannelArray::DrainResult drained = channels_.Drain(&completed);
-  for (const FlashSubmission& sub : completed) {
-    stats_.OnChannelComplete(sub.channel, sub.ServiceUs());
-  }
-  stats_.AdvanceElapsed(drained.elapsed_us);
-  BatchResult result;
-  result.elapsed_us = drained.elapsed_us;
-  result.ops = drained.ops;
-  result.max_queue_depth = drained.max_queue_depth;
-  return result;
+  return channels_.Drain();
 }
 
 FlashDevice::BatchResult FlashDevice::AdvanceTo(double until_us) {
-  std::vector<FlashSubmission> completed;
-  ChannelArray::DrainResult drained = channels_.DrainUntil(until_us,
-                                                           &completed);
-  for (const FlashSubmission& sub : completed) {
-    stats_.OnChannelComplete(sub.channel, sub.ServiceUs());
-  }
-  stats_.AdvanceElapsed(drained.elapsed_us);
-  BatchResult result;
-  result.elapsed_us = drained.elapsed_us;
-  result.ops = drained.ops;
-  result.max_queue_depth = drained.max_queue_depth;
-  return result;
+  return channels_.AdvanceTo(until_us);
 }
 
 void FlashDevice::BeginOpScope() {
@@ -77,44 +50,20 @@ FlashDevice::OpScope FlashDevice::EndOpScope() {
   return op_scope_;
 }
 
-void FlashDevice::NoteScopedOp(const FlashSubmission& sub) {
-  if (!op_scope_open_) return;
-  ++op_scope_.ops;
-  if (sub.complete_us > op_scope_.last_complete_us) {
-    op_scope_.last_complete_us = sub.complete_us;
+void FlashDevice::SubmitOp(FlashOpKind kind, BlockId block) {
+  double complete_us = channels_.Submit(ChannelOf(block), kind);
+  if (op_scope_open_) {
+    ++op_scope_.ops;
+    if (complete_us > op_scope_.last_complete_us) {
+      op_scope_.last_complete_us = complete_us;
+    }
   }
-}
-
-void FlashDevice::SubmitOp(FlashOpKind kind, PhysicalAddress addr,
-                           IoPurpose purpose, FlashCompletion on_complete) {
-  ChannelId channel = ChannelOf(addr.block);
-  stats_.OnChannelSubmit(channel);
-  if (batch_depth_ == 0) {
-    // Serial fast lane: no parking, no drain sort — stamp, complete, and
-    // account inline. Timing-equivalent to Submit + Drain of one op.
-    double before = channels_.now_us();
-    FlashSubmission sub =
-        channels_.SubmitImmediate(channel, kind, addr, purpose);
-    stats_.OnChannelComplete(channel, sub.ServiceUs());
-    stats_.AdvanceElapsed(channels_.now_us() - before);
-    NoteScopedOp(sub);
-    if (on_complete) on_complete(sub);
-    return;
-  }
-  NoteScopedOp(
-      channels_.Submit(channel, kind, addr, purpose, std::move(on_complete)));
+  if (batch_depth_ == 0) channels_.Drain();
 }
 
 uint64_t FlashDevice::WritePage(PhysicalAddress addr, SpareArea spare,
                                 uint64_t payload, IoPurpose purpose) {
-  return WritePageAsync(addr, spare, payload, purpose, nullptr);
-}
-
-uint64_t FlashDevice::WritePageAsync(PhysicalAddress addr, SpareArea spare,
-                                     uint64_t payload, IoPurpose purpose,
-                                     FlashCompletion on_complete) {
-  ProgramResult r =
-      ProgramPageInternal(addr, spare, payload, purpose, std::move(on_complete));
+  ProgramResult r = ProgramPage(addr, spare, payload, purpose);
   GECKO_CHECK(r.ok) << "unhandled program fault at " << addr.ToString()
                     << " (use ProgramPage / AllocateAndProgram on fault-"
                     << "injected devices)";
@@ -123,14 +72,6 @@ uint64_t FlashDevice::WritePageAsync(PhysicalAddress addr, SpareArea spare,
 
 ProgramResult FlashDevice::ProgramPage(PhysicalAddress addr, SpareArea spare,
                                        uint64_t payload, IoPurpose purpose) {
-  return ProgramPageInternal(addr, spare, payload, purpose, nullptr);
-}
-
-ProgramResult FlashDevice::ProgramPageInternal(PhysicalAddress addr,
-                                               SpareArea spare,
-                                               uint64_t payload,
-                                               IoPurpose purpose,
-                                               FlashCompletion on_complete) {
   CheckAddress(addr);
   BlockRecord& block = blocks_[addr.block];
   GECKO_CHECK(!block.retired)
@@ -165,31 +106,14 @@ ProgramResult FlashDevice::ProgramPageInternal(PhysicalAddress addr,
     page.payload = payload;
   }
   stats_.OnPageWrite(purpose);
-  SubmitOp(FlashOpKind::kPageWrite, addr, purpose, std::move(on_complete));
+  SubmitOp(FlashOpKind::kPageWrite, addr.block);
   return ProgramResult{!failed, spare.seq};
 }
 
-void FlashDevice::ChargeReadRetries(PhysicalAddress addr, IoPurpose purpose,
-                                    uint32_t retries) {
-  // Each retry is one more real read op on the page's channel: it queues,
-  // occupies the channel for a full read latency, and delays everything
-  // behind it — but is not a distinct page read in the per-purpose counts
-  // (the host issued one read; the medium just made it expensive).
-  for (uint32_t i = 0; i < retries; ++i) {
-    SubmitOp(FlashOpKind::kPageRead, addr, purpose, nullptr);
-  }
-}
-
 PageReadResult FlashDevice::ReadPage(PhysicalAddress addr, IoPurpose purpose) {
-  return ReadPageAsync(addr, purpose, nullptr);
-}
-
-PageReadResult FlashDevice::ReadPageAsync(PhysicalAddress addr,
-                                          IoPurpose purpose,
-                                          FlashCompletion on_complete) {
   CheckAddress(addr);
   stats_.OnPageRead(purpose);
-  SubmitOp(FlashOpKind::kPageRead, addr, purpose, std::move(on_complete));
+  SubmitOp(FlashOpKind::kPageRead, addr.block);
   const BlockRecord& block = blocks_[addr.block];
   const PageRecord& page = pages_[FlatIndex(addr)];
   if (block.retired || page.bad) {
@@ -200,7 +124,14 @@ PageReadResult FlashDevice::ReadPageAsync(PhysicalAddress addr,
   if (page.written) {
     uint32_t retries = faults_.RollTransientReadRetries(addr);
     if (retries > 0) {
-      ChargeReadRetries(addr, purpose, retries);
+      // Each retry is one more real read op on the page's channel: it
+      // queues, occupies the channel for a full read latency, and delays
+      // everything behind it — but is not a distinct page read in the
+      // per-purpose counts (the host issued one read; the medium just
+      // made it expensive).
+      for (uint32_t i = 0; i < retries; ++i) {
+        SubmitOp(FlashOpKind::kPageRead, addr.block);
+      }
       stats_.OnTransientReadFault(retries);
     }
     if (faults_.RollHardReadFault(addr, purpose == IoPurpose::kUserRead)) {
@@ -212,15 +143,9 @@ PageReadResult FlashDevice::ReadPageAsync(PhysicalAddress addr,
 }
 
 PageReadResult FlashDevice::ReadSpare(PhysicalAddress addr, IoPurpose purpose) {
-  return ReadSpareAsync(addr, purpose, nullptr);
-}
-
-PageReadResult FlashDevice::ReadSpareAsync(PhysicalAddress addr,
-                                           IoPurpose purpose,
-                                           FlashCompletion on_complete) {
   CheckAddress(addr);
   stats_.OnSpareRead(purpose);
-  SubmitOp(FlashOpKind::kSpareRead, addr, purpose, std::move(on_complete));
+  SubmitOp(FlashOpKind::kSpareRead, addr.block);
   const BlockRecord& block = blocks_[addr.block];
   const PageRecord& page = pages_[FlatIndex(addr)];
   // Spare reads never fault by rate (firmware keeps OOB metadata under
@@ -231,22 +156,12 @@ PageReadResult FlashDevice::ReadSpareAsync(PhysicalAddress addr,
 }
 
 void FlashDevice::EraseBlock(BlockId block_id, IoPurpose purpose) {
-  EraseBlockAsync(block_id, purpose, nullptr);
-}
-
-void FlashDevice::EraseBlockAsync(BlockId block_id, IoPurpose purpose,
-                                  FlashCompletion on_complete) {
-  GECKO_CHECK(EraseBlockInternal(block_id, purpose, std::move(on_complete)))
+  GECKO_CHECK(TryEraseBlock(block_id, purpose))
       << "unhandled erase fault at block " << block_id
       << " (use TryEraseBlock on fault-injected devices)";
 }
 
 bool FlashDevice::TryEraseBlock(BlockId block_id, IoPurpose purpose) {
-  return EraseBlockInternal(block_id, purpose, nullptr);
-}
-
-bool FlashDevice::EraseBlockInternal(BlockId block_id, IoPurpose purpose,
-                                     FlashCompletion on_complete) {
   GECKO_CHECK_LT(block_id, geometry_.num_blocks);
   BlockRecord& block = blocks_[block_id];
   GECKO_CHECK(!block.retired) << "erase of retired block " << block_id;
@@ -254,8 +169,7 @@ bool FlashDevice::EraseBlockInternal(BlockId block_id, IoPurpose purpose,
     // The failed attempt still occupied the channel for an erase latency;
     // the block is permanently retired (grown bad).
     stats_.OnEraseFault();
-    SubmitOp(FlashOpKind::kErase, PhysicalAddress{block_id, 0}, purpose,
-             std::move(on_complete));
+    SubmitOp(FlashOpKind::kErase, block_id);
     RetireBlock(block_id);
     return false;
   }
@@ -269,8 +183,7 @@ bool FlashDevice::EraseBlockInternal(BlockId block_id, IoPurpose purpose,
   block.last_erase_seq = next_seq_++;
   ++global_erase_count_;
   stats_.OnErase(purpose);
-  SubmitOp(FlashOpKind::kErase, PhysicalAddress{block_id, 0}, purpose,
-           std::move(on_complete));
+  SubmitOp(FlashOpKind::kErase, block_id);
   return true;
 }
 

@@ -1,6 +1,6 @@
 // Simulated NAND flash device: the substrate every FTL in this repository
-// runs on (our EagleTree-equivalent; see DESIGN.md §3 for the substitution
-// rationale).
+// runs on (our EagleTree-equivalent; see docs/DESIGN.md §3 for the
+// substitution rationale).
 //
 // The device enforces the NAND idiosyncrasies of Section 2 of the paper:
 //   (1) reads and writes happen at page granularity;
@@ -16,13 +16,14 @@
 //
 // Channel parallelism: the device is striped across Geometry::num_channels
 // independent channels (block k lives on channel k mod num_channels), each
-// with its own op queue and latency clock (flash/channel_queue.h). Data
+// with its own FIFO and busy-until clock (flash/channel_queue.h). Data
 // effects always commit synchronously in program order; the channels model
-// *time*. Outside a batch window every op drains immediately, which
-// reproduces the serial single-unit model exactly. Inside a
-// BeginBatch()/EndBatch() window, submissions park on their channel queues
-// and the window completes in max-per-channel time — the mechanism by
-// which a striped scatter-gather batch gets N-channel speedup.
+// *time*. Every op takes one path: it is stamped on its channel, its
+// completion time feeds the open op scope, and outside a batch window it
+// retires at once, which reproduces the serial single-unit model exactly.
+// Inside a BeginBatch()/EndBatch() window ops stay queued and the window
+// completes in max-per-channel time — the mechanism by which a striped
+// scatter-gather batch gets N-channel speedup.
 //
 // Power failure: flash contents (payloads + spare areas + erase counters)
 // persist; only FTL RAM structures are lost. The device itself therefore
@@ -100,13 +101,7 @@ class FlashDevice {
     return channels_.busy_until_us(c);
   }
 
-  /// Total simulated time channel `c` has sat idle between ops
-  /// (background-GC headroom).
-  double ChannelIdleUs(ChannelId c) const {
-    return channels_.channel(c).idle_us();
-  }
-
-  // --- Async submission/completion pipeline ------------------------------
+  // --- Batch windows and the device clock --------------------------------
 
   /// Opens a batch window: subsequent ops park on their channel queues
   /// instead of draining immediately, so ops on distinct channels overlap
@@ -115,25 +110,21 @@ class FlashDevice {
   /// outermost EndBatch() drains.
   void BeginBatch();
 
-  /// What one drained batch window cost.
-  struct BatchResult {
-    double elapsed_us = 0;         // makespan: max-per-channel, not sum
-    uint64_t ops = 0;              // flash ops the window submitted
-    uint32_t max_queue_depth = 0;  // deepest any channel queue got
-  };
+  /// What one drain cost: the clock advance (for a whole window, its
+  /// makespan: max-per-channel, not sum) and the ops it retired.
+  using BatchResult = ChannelArray::DrainResult;
 
-  /// Closes the innermost batch window. The outermost close drains every
-  /// queued op — completion callbacks fire in completion-time order — and
-  /// advances the simulated clock by the window's makespan. Inner closes
-  /// return a zeroed BatchResult.
+  /// Closes the innermost batch window. The outermost close retires every
+  /// queued op and advances the simulated clock by the window's makespan.
+  /// Inner closes return a zeroed BatchResult.
   BatchResult EndBatch();
 
   /// Whether a batch window is open.
   bool in_batch() const { return batch_depth_ > 0; }
 
   /// Reactor tick: retires every queued op that completes at or before
-  /// `until_us` (completion-time order, callbacks fire, stats update) and
-  /// advances the clock to max(now, until_us), leaving later ops queued.
+  /// `until_us` (stats update) and advances the clock to max(now,
+  /// until_us), leaving later ops queued.
   /// Unlike EndBatch(), the batch window — if any — stays open; the async
   /// engine uses this to let time pass while requests are still in
   /// flight. A no-op on the clock when `until_us` is in the past.
@@ -161,9 +152,8 @@ class FlashDevice {
   // --- Page operations ----------------------------------------------------
   // Each op charges its IoStats count at submission. Timing: outside a
   // batch window the op also completes immediately (clock += latency);
-  // inside a window it completes at EndBatch(). The *Async variants
-  // additionally register a completion callback, fired at drain time with
-  // the op's submission record (queueing + service timeline).
+  // inside a window it completes at EndBatch() or at the AdvanceTo() that
+  // passes its completion time.
 
   /// Programs the next free page of `addr.block`; `addr.page` must equal the
   /// block's write pointer (sequential-programming rule). The device stamps
@@ -171,11 +161,6 @@ class FlashDevice {
   /// with the block's wear counter, then returns that sequence number.
   uint64_t WritePage(PhysicalAddress addr, SpareArea spare, uint64_t payload,
                      IoPurpose purpose);
-
-  /// WritePage + completion callback.
-  uint64_t WritePageAsync(PhysicalAddress addr, SpareArea spare,
-                          uint64_t payload, IoPurpose purpose,
-                          FlashCompletion on_complete);
 
   /// Fault-aware program. Identical to WritePage on success; on an injected
   /// program fault the page is consumed and marked bad (it reads back as
@@ -192,27 +177,15 @@ class FlashDevice {
   /// synchronous; the channel queue models when the read *completes*).
   PageReadResult ReadPage(PhysicalAddress addr, IoPurpose purpose);
 
-  /// ReadPage + completion callback.
-  PageReadResult ReadPageAsync(PhysicalAddress addr, IoPurpose purpose,
-                               FlashCompletion on_complete);
-
   /// Reads only the spare area (~32x cheaper than a page read). Reading the
   /// spare of an unprogrammed page returns written=false with a blank spare,
   /// which is how recovery scans detect free pages/blocks.
   PageReadResult ReadSpare(PhysicalAddress addr, IoPurpose purpose);
 
-  /// ReadSpare + completion callback.
-  PageReadResult ReadSpareAsync(PhysicalAddress addr, IoPurpose purpose,
-                                FlashCompletion on_complete);
-
   /// Erases a block: all pages become free, the wear counter increments.
   /// Aborts on an injected erase fault; fault-tolerant callers use
   /// TryEraseBlock.
   void EraseBlock(BlockId block, IoPurpose purpose);
-
-  /// EraseBlock + completion callback.
-  void EraseBlockAsync(BlockId block, IoPurpose purpose,
-                       FlashCompletion on_complete);
 
   /// Fault-aware erase. Returns true on success (identical to EraseBlock).
   /// On an injected erase fault the block is permanently retired — a grown
@@ -284,32 +257,10 @@ class FlashDevice {
 
   void CheckAddress(PhysicalAddress addr) const;
 
-  /// Shared program path: data effects + fault roll + op submission.
-  ProgramResult ProgramPageInternal(PhysicalAddress addr, SpareArea spare,
-                                    uint64_t payload, IoPurpose purpose,
-                                    FlashCompletion on_complete);
-
-  /// Shared erase path; returns false when an injected fault retired the
-  /// block (callback still fires: the attempt occupied the channel).
-  bool EraseBlockInternal(BlockId block, IoPurpose purpose,
-                          FlashCompletion on_complete);
-
-  /// Routes one op through its block's channel queue: charges queue-depth
-  /// stats, and drains immediately unless a batch window is open.
-  void SubmitOp(FlashOpKind kind, PhysicalAddress addr, IoPurpose purpose,
-                FlashCompletion on_complete);
-
-  /// Drains the channel pipeline into IoStats (busy time, completions,
-  /// clock advance) and fires completion callbacks.
-  BatchResult DrainChannels();
-
-  /// Feeds one stamped submission into the open op scope, if any.
-  void NoteScopedOp(const FlashSubmission& sub);
-
-  /// Charges `retries` extra read ops at `addr` through the channel queue
-  /// (the latency cost of absorbing a transient read fault).
-  void ChargeReadRetries(PhysicalAddress addr, IoPurpose purpose,
-                         uint32_t retries);
+  /// The one op-submission path: stamps the op on `block`'s channel,
+  /// feeds its completion time to the open op scope, and retires it at
+  /// once unless a batch window is open.
+  void SubmitOp(FlashOpKind kind, BlockId block);
 
   Geometry geometry_;
   IoStats stats_;

@@ -1020,7 +1020,7 @@ uint32_t BaseFtl::MigrateUserPages(uint32_t max_migrations) {
       // paths of Appendix C.2. Pages that predate the last recovery are
       // therefore validated against the translation table (authoritative
       // for uncached lpns) before migration; younger pages are exactly
-      // tracked and skip this read (DESIGN.md §3).
+      // tracked and skip this read (docs/DESIGN.md §3).
       PhysicalAddress current =
           translation_.Lookup(lpn, IoPurpose::kGcMigration);
       if (current != addr) continue;  // stale copy: do not migrate
@@ -1044,7 +1044,7 @@ uint32_t BaseFtl::MigrateUserPages(uint32_t max_migrations) {
 #endif
     // Migrate: read + write, treated like an application write (a dirty
     // cached mapping entry is created). UIP=false — the before-image is
-    // this very page (DESIGN.md deviation 3).
+    // this very page (docs/DESIGN.md deviation 3).
     PageReadResult page = device_->ReadPage(addr, IoPurpose::kGcMigration);
     SpareArea new_spare;
     new_spare.type = PageType::kUser;
@@ -1236,7 +1236,7 @@ void BaseFtl::BackwardScanRecoverEntries(uint64_t scan_bound, bool mark_uip,
   // updated logical pages by scanning user-block spare areas in reverse
   // write order. Checkpoints bound the scan to 2 * period spare reads
   // (Section 4.3). Duplicate logical addresses met deeper in the scan are
-  // older versions — report them invalid (DESIGN.md deviation 2).
+  // older versions — report them invalid (docs/DESIGN.md deviation 2).
   RecoveryStep& step = report->Add("dirty mapping entries (backward scan)");
 
   // Order user blocks by the timestamp of their newest page. First-page
@@ -1323,7 +1323,7 @@ void BaseFtl::BackwardScanRecoverEntries(uint64_t scan_bound, bool mark_uip,
       if (inserted) continue;
       // Two on-flash copies of the same lpn: the older one is a
       // before-image whose buffered invalidation report may have been lost
-      // with the power failure (DESIGN.md deviation 2). Spare timestamps
+      // with the power failure (docs/DESIGN.md deviation 2). Spare timestamps
       // decide which copy is older — scan order alone is unreliable across
       // resumed blocks.
       Copy older{addr, r.spare.seq};

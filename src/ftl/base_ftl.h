@@ -145,7 +145,7 @@ class BaseFtl : public Ftl, private MaintenanceHost, private AsyncHost {
   /// records, re-identified invalidations): without this, a second power
   /// failure before the next natural flush would lose that knowledge
   /// again, and the re-derivation conditions would no longer hold
-  /// (DESIGN.md §3, repeated-crash idempotency).
+  /// (docs/DESIGN.md §3, repeated-crash idempotency).
   virtual void OnRecoveryComplete(RecoveryReport* report) { (void)report; }
 
   /// Migrates one live page of a PVM metadata block during greedy GC.
@@ -342,7 +342,7 @@ class BaseFtl : public Ftl, private MaintenanceHost, private AsyncHost {
   /// Backward spare-area scan over user blocks (newest first): recreates
   /// up to C mapping entries, bounded by 2*`scan_bound` spare reads.
   /// When `report_duplicates` is set, older versions of already-seen lpns
-  /// are reported invalid (DESIGN.md deviation 2). Entries are inserted
+  /// are reported invalid (docs/DESIGN.md deviation 2). Entries are inserted
   /// dirty, with the uip/uncertain flags as requested (GeckoRec sets both;
   /// baselines without a UIP concept set neither).
   void BackwardScanRecoverEntries(uint64_t scan_bound, bool mark_uip,
@@ -386,7 +386,7 @@ class BaseFtl : public Ftl, private MaintenanceHost, private AsyncHost {
   /// (e.g. intermediate before-images outside the backward-scan window);
   /// GC validates such pages against the translation table before
   /// migrating them. Pages written after it are exactly tracked, so
-  /// crash-free operation pays nothing (DESIGN.md §3).
+  /// crash-free operation pays nothing (docs/DESIGN.md §3).
   uint64_t last_recovery_seq_ = 0;
   /// Mutable: counters() refreshes the device-derived fault counters
   /// (remapped programs, grown bad blocks, degraded flag) on read.

@@ -149,7 +149,7 @@ MuFtl::MuFtl(FlashDevice* device, const FtlConfig& config)
 uint64_t MuFtl::PvmRamBytes() const {
   // µ-FTL's translation table is a B-tree whose root alone stays resident,
   // so its RAM model drops the GMD term BaseFtl::RamBytes adds; cancel it
-  // here (DESIGN.md §3). The PVB chunk directory remains.
+  // here (docs/DESIGN.md §3). The PVB chunk directory remains.
   uint64_t gmd = translation_.GmdRamBytes();
   uint64_t store = store_->RamBytes();
   return store > gmd ? store - gmd : 0;
@@ -197,7 +197,7 @@ FtlConfig IbFtl::DefaultConfig(uint32_t cache_capacity) {
   c.gc_policy = GcPolicy::kGreedyAll;
   c.invalidation = InvalidationMode::kImmediate;
   // The log buffer can lose records across power failure, so GC validates
-  // uncached victim pages against the translation table (DESIGN.md §3).
+  // uncached victim pages against the translation table (docs/DESIGN.md §3).
   c.gc_validate_against_translation_table = true;
   c.EnableMaintenanceLadder();
   return c;

@@ -15,7 +15,7 @@
 // translation page to find the before-image), use greedy GC over all
 // blocks including metadata, and — for µ-FTL/IB-FTL — model the B-tree
 // translation table with a page table whose RAM model differs only in the
-// GMD term (see DESIGN.md §3).
+// GMD term (see docs/DESIGN.md §3).
 
 #ifndef GECKOFTL_FTL_BASELINE_FTLS_H_
 #define GECKOFTL_FTL_BASELINE_FTLS_H_
@@ -81,7 +81,7 @@ class MuFtl : public BaseFtl {
   void RecoverDirtyEntries(RecoveryReport* report) override;
   void MigratePvmPage(PhysicalAddress addr) override;
   /// µ-FTL's B-tree keeps only the root resident: the GMD term is dropped
-  /// from the RAM model (DESIGN.md §3).
+  /// from the RAM model (docs/DESIGN.md §3).
   uint64_t PvmRamBytes() const override;
 
  private:

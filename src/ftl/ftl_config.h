@@ -106,7 +106,7 @@ struct FtlConfig {
   /// Runtime checkpoints: a checkpoint is taken every `checkpoint_period`
   /// inserts/updates to the cache (Section 4.3). 0 disables. GeckoFTL
   /// uses cache_capacity; baselines without batteries use their dirty cap
-  /// (emulating LazyFTL's update-block bookkeeping; see DESIGN.md §3).
+  /// (emulating LazyFTL's update-block bookkeeping; see docs/DESIGN.md §3).
   uint32_t checkpoint_period = 0;
 
   /// Whether a battery persists dirty entries (and a RAM PVB) at failure.
@@ -132,7 +132,7 @@ struct FtlConfig {
 
   /// Whether GC validates not-in-cache victim pages against the flash
   /// translation table (needed by IB-FTL, whose log buffer can lose
-  /// records across power failure; see DESIGN.md §3).
+  /// records across power failure; see docs/DESIGN.md §3).
   bool gc_validate_against_translation_table = false;
 
   /// Wear-leveling (Appendix D). Off by default in experiments, matching

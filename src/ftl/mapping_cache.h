@@ -129,7 +129,7 @@ class MappingCache {
   /// update; under mixed read/write workloads a frequently-read dirty
   /// entry would stay in front of the symbol forever and never be
   /// synchronized, breaking the 2-checkpoint recovery-scan bound
-  /// (DESIGN.md §3). Tracking the dirtying epoch per entry restores the
+  /// (docs/DESIGN.md §3). Tracking the dirtying epoch per entry restores the
   /// guarantee; the walk covers the dirty list only. Returns ascending
   /// lpns.
   std::vector<Lpn> TakeCheckpoint();

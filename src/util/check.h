@@ -1,6 +1,6 @@
 // Invariant-checking macros for the GeckoFTL library.
 //
-// The library does not use C++ exceptions (see DESIGN.md §7). Recoverable
+// The library does not use C++ exceptions (see docs/DESIGN.md §7). Recoverable
 // errors are reported through gecko::Status; violated invariants abort the
 // process with a source location and message via these macros.
 

@@ -84,7 +84,7 @@ TEST_F(LogGeckoTest, EraseMasksOlderEntries) {
   EXPECT_EQ(result.Count(), 1u);
 }
 
-// DESIGN.md deviation 1: Algorithm 2 as literally written would keep
+// docs/DESIGN.md deviation 1: Algorithm 2 as literally written would keep
 // pre-erase bits buffered, corrupting pages written after the erase.
 TEST_F(LogGeckoTest, EraseReplacesBufferedBits) {
   gecko_->RecordInvalidPage({7, 3});  // still in buffer
@@ -201,7 +201,7 @@ TEST_F(LogGeckoTest, PartitionedEraseCoversAllChunks) {
 
 TEST_F(LogGeckoTest, BottomMergeDropsEmptyEntries) {
   // An erase-flagged entry that reaches the bottom with no bits carries
-  // no information and is dropped (DESIGN.md deviation 4).
+  // no information and is dropped (docs/DESIGN.md deviation 4).
   gecko_->RecordErase(5);
   gecko_->Flush();
   gecko_->RecordErase(5);

@@ -142,7 +142,7 @@ TEST(GeckoFtlTest, RecoveryReportsGeckoRecSteps) {
 }
 
 TEST(GeckoFtlTest, LostBufferReportsAreRecovered) {
-  // Force the specific hazard of DESIGN.md deviation 2: a cached-entry
+  // Force the specific hazard of docs/DESIGN.md deviation 2: a cached-entry
   // write reports its before-image to the Gecko buffer; the buffer dies
   // with the power failure. After recovery the page must still be treated
   // as invalid — GC must not resurrect it over the newer version.

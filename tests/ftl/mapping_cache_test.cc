@@ -121,9 +121,8 @@ TEST(MappingCacheTest, CheckpointReturnsStaleDirtyEntries) {
 }
 
 TEST(MappingCacheTest, ReadTouchesDoNotShieldDirtyEntriesFromCheckpoints) {
-  // The deviation documented in DESIGN.md: a frequently-read dirty entry
-  // must still be picked up by the next checkpoint, or the recovery scan
-  // bound breaks.
+  // docs/DESIGN.md §3: a frequently-read dirty entry must still be picked
+  // up by the next checkpoint, or the recovery scan bound breaks.
   MappingCache cache(8);
   cache.Insert(7, E(1, true));
   cache.TakeCheckpoint();
